@@ -23,7 +23,6 @@
 #include "dsp/fir.hpp"
 #include "dsp/goertzel.hpp"
 #include "dsp/plan.hpp"
-#include "dsp/resampler.hpp"
 #include "dsp/simd.hpp"
 #include "dsp/welch.hpp"
 #include "dsp/window.hpp"
@@ -245,20 +244,6 @@ void BM_MovingAverage(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_MovingAverage);
-
-void BM_Decimator(benchmark::State& state) {
-  const auto block = noise_block(65536, 5);
-  dsp::Decimator dec(4, 8e6);
-  std::vector<std::complex<float>> out;
-  for (auto _ : state) {
-    out.clear();
-    dec.process(block, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(block.size()));
-}
-BENCHMARK(BM_Decimator);
 
 void BM_FirDesign(benchmark::State& state) {
   for (auto _ : state)

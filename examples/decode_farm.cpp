@@ -24,6 +24,7 @@
 #include "scenario/testbed.hpp"
 #include "sdr/segmentize.hpp"
 #include "sdr/sim.hpp"
+#include "util/json_reader.hpp"
 #include "util/table.hpp"
 
 using namespace speccal;
@@ -60,27 +61,37 @@ std::string report_fingerprint(const calib::CalibrationReport& report) {
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--nodes=", 0) == 0) {
-      opt.nodes = std::stoul(arg.substr(8));
-    } else if (arg.rfind("--encoding=", 0) == 0) {
-      if (!parse_encoding(arg.substr(11), opt.encoding)) {
-        std::cerr << "unknown encoding (float32|float16|fixed8|fixed12)\n";
-        return 1;
+  // Counts follow util::JsonReader's number rule, converted exactly.
+  using util::JsonReader;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg.rfind("--nodes=", 0) == 0) {
+        opt.nodes = JsonReader::integer<std::size_t>(arg.substr(8), "--nodes");
+      } else if (arg.rfind("--encoding=", 0) == 0) {
+        if (!parse_encoding(arg.substr(11), opt.encoding)) {
+          std::cerr << "unknown encoding (float32|float16|fixed8|fixed12)\n";
+          return 1;
+        }
+      } else if (arg.rfind("--decode-threads=", 0) == 0) {
+        opt.decode_threads =
+            JsonReader::integer<unsigned>(arg.substr(17), "--decode-threads");
+      } else if (arg.rfind("--calibrate-threads=", 0) == 0) {
+        opt.calibrate_threads =
+            JsonReader::integer<unsigned>(arg.substr(20), "--calibrate-threads");
+      } else if (arg.rfind("--queue-capacity=", 0) == 0) {
+        opt.queue_capacity =
+            JsonReader::integer<std::size_t>(arg.substr(17), "--queue-capacity");
+      } else {
+        throw std::invalid_argument("unknown flag " + arg);
       }
-    } else if (arg.rfind("--decode-threads=", 0) == 0) {
-      opt.decode_threads = static_cast<unsigned>(std::stoul(arg.substr(17)));
-    } else if (arg.rfind("--calibrate-threads=", 0) == 0) {
-      opt.calibrate_threads = static_cast<unsigned>(std::stoul(arg.substr(20)));
-    } else if (arg.rfind("--queue-capacity=", 0) == 0) {
-      opt.queue_capacity = std::stoul(arg.substr(17));
-    } else {
-      std::cerr << "usage: decode_farm [--nodes=N] [--encoding=E]\n"
-                   "                   [--decode-threads=N] [--calibrate-threads=N]\n"
-                   "                   [--queue-capacity=N]\n";
-      return 1;
     }
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "decode_farm: " << e.what() << "\n"
+              << "usage: decode_farm [--nodes=N] [--encoding=E]\n"
+                 "                   [--decode-threads=N] [--calibrate-threads=N]\n"
+                 "                   [--queue-capacity=N]\n";
+    return 1;
   }
 
   const auto world = scenario::make_world(kSeed);

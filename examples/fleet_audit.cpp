@@ -27,6 +27,7 @@
 #include "obs/trace.hpp"
 #include "scenario/testbed.hpp"
 #include "sdr/fault.hpp"
+#include "util/json_reader.hpp"
 #include "util/table.hpp"
 
 using namespace speccal;
@@ -119,48 +120,48 @@ int main(int argc, char** argv) {
   sdr::FaultProfile fault_profile;
   scenario::AdversaryProfile anomaly_profile;
   bool anomaly_armed = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--threads=", 0) == 0)
-      threads = static_cast<unsigned>(std::atoi(arg.c_str() + 10));
-    else if (arg.rfind("--nodes=", 0) == 0)
-      fleet_size = static_cast<std::size_t>(std::atoll(arg.c_str() + 8));
-    else if (arg.rfind("--metrics-out=", 0) == 0)
-      metrics_out = arg.substr(14);
-    else if (arg.rfind("--trace-out=", 0) == 0)
-      trace_out = arg.substr(12);
-    else if (arg.rfind("--health-out=", 0) == 0)
-      health_out = arg.substr(13);
-    else if (arg.rfind("--events-out=", 0) == 0)
-      events_out = arg.substr(13);
-    else if (arg.rfind("--samples-out=", 0) == 0)
-      samples_out = arg.substr(14);
-    else if (arg.rfind("--slo-budget-ms=", 0) == 0)
-      slo_budget_ms = std::atof(arg.c_str() + 16);
-    else if (arg.rfind("--anomaly-out=", 0) == 0) {
-      anomaly_out = arg.substr(14);
-      anomaly_armed = true;
-    } else if (arg.rfind("--anomaly-profile=", 0) == 0) {
-      try {
+  // Numeric values follow util::JsonReader's number rule, converted
+  // exactly; a malformed one is a usage error like a bad profile.
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg.rfind("--threads=", 0) == 0)
+        threads =
+            util::JsonReader::integer<unsigned>(arg.substr(10), "--threads");
+      else if (arg.rfind("--nodes=", 0) == 0)
+        fleet_size =
+            util::JsonReader::integer<std::size_t>(arg.substr(8), "--nodes");
+      else if (arg.rfind("--metrics-out=", 0) == 0)
+        metrics_out = arg.substr(14);
+      else if (arg.rfind("--trace-out=", 0) == 0)
+        trace_out = arg.substr(12);
+      else if (arg.rfind("--health-out=", 0) == 0)
+        health_out = arg.substr(13);
+      else if (arg.rfind("--events-out=", 0) == 0)
+        events_out = arg.substr(13);
+      else if (arg.rfind("--samples-out=", 0) == 0)
+        samples_out = arg.substr(14);
+      else if (arg.rfind("--slo-budget-ms=", 0) == 0)
+        slo_budget_ms =
+            util::JsonReader::number(arg.substr(16), "--slo-budget-ms");
+      else if (arg.rfind("--anomaly-out=", 0) == 0) {
+        anomaly_out = arg.substr(14);
+        anomaly_armed = true;
+      } else if (arg.rfind("--anomaly-profile=", 0) == 0) {
         anomaly_profile = scenario::make_adversary_profile(arg.substr(18));
         anomaly_armed = true;
-      } catch (const std::exception& e) {
-        std::cerr << "fleet_audit: " << e.what() << "\n";
-        return 2;
-      }
-    } else if (arg.rfind("--fault-profile=", 0) == 0) {
-      try {
+      } else if (arg.rfind("--fault-profile=", 0) == 0)
         fault_profile = sdr::make_fault_profile(arg.substr(16));
-      } catch (const std::exception& e) {
-        std::cerr << "fleet_audit: " << e.what() << "\n";
+      else if (arg.rfind("--", 0) != 0)
+        threads = util::JsonReader::integer<unsigned>(arg, "thread count");
+      else {
+        std::cerr << "fleet_audit: unknown flag " << arg << "\n";
         return 2;
       }
-    } else if (arg.rfind("--", 0) != 0)
-      threads = static_cast<unsigned>(std::atoi(arg.c_str()));
-    else {
-      std::cerr << "fleet_audit: unknown flag " << arg << "\n";
-      return 2;
     }
+  } catch (const std::exception& e) {
+    std::cerr << "fleet_audit: " << e.what() << "\n";
+    return 2;
   }
   const bool chaos = !fault_profile.empty();
 

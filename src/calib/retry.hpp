@@ -71,8 +71,6 @@ struct RetryPolicy {
   [[nodiscard]] bool passthrough() const noexcept {
     return max_attempts <= 1 && !quarantine;
   }
-
-  friend bool operator==(const RetryPolicy&, const RetryPolicy&) = default;
 };
 
 enum class FaultOutcome {

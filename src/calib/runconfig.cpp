@@ -22,7 +22,6 @@ void check_retry(const char* prefix, const RetryPolicy& retry) {
 }  // namespace
 
 void RunConfig::validate() const {
-  check_retry("RunConfig.retry", retry);
   check_retry("RunConfig.pipeline.retry", pipeline.retry);
   if (!(pipeline.survey.duration_s > 0.0))
     throw std::invalid_argument(
@@ -33,12 +32,6 @@ void RunConfig::validate() const {
   if (pipeline.tv_detect_margin_db < 0.0)
     throw std::invalid_argument(
         "RunConfig.pipeline.tv_detect_margin_db must be >= 0");
-}
-
-PipelineConfig RunConfig::resolved_pipeline() const {
-  PipelineConfig resolved = pipeline;
-  if (retry != RetryPolicy{}) resolved.retry = retry;
-  return resolved;
 }
 
 }  // namespace speccal::calib

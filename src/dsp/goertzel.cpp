@@ -93,12 +93,4 @@ std::complex<double> Goertzel::output(std::size_t bin) const noexcept {
   return rot * unrotated(b) / n;
 }
 
-double goertzel_power(std::span<const std::complex<float>> block, double freq_hz,
-                      double sample_rate_hz) {
-  if (block.empty()) return 0.0;
-  Goertzel g({freq_hz}, sample_rate_hz);
-  g.feed(block);
-  return g.power(0);
-}
-
 }  // namespace speccal::dsp

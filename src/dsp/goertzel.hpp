@@ -49,8 +49,7 @@ class Goertzel {
   [[nodiscard]] std::uint64_t samples_fed() const noexcept { return n_; }
 
   /// |X(f)|^2 / N^2, full scale = 1.0 for a full-scale tone at the bin
-  /// frequency (same convention as the historical goertzel_power). 0.0
-  /// before any samples are fed.
+  /// frequency. 0.0 before any samples are fed.
   [[nodiscard]] double power(std::size_t bin) const noexcept;
 
   /// X(f) / N, the normalized complex DFT sum (a full-scale on-bin tone
@@ -75,11 +74,5 @@ class Goertzel {
   std::vector<BinState> bins_;
   std::uint64_t n_ = 0;
 };
-
-/// Power at a single frequency in one shot. Thin wrapper over a one-bin
-/// Goertzel, kept per the DESIGN.md §8 shim policy: existing one-shot
-/// callers keep working; new streaming/multi-bin callers use the class.
-[[nodiscard]] double goertzel_power(std::span<const std::complex<float>> block,
-                                    double freq_hz, double sample_rate_hz);
 
 }  // namespace speccal::dsp

@@ -1,7 +1,7 @@
 #include "scenario/adversary.hpp"
 
 #include <cmath>
-#include <cstdlib>
+#include <set>
 #include <stdexcept>
 
 #include "adsb/ppm.hpp"
@@ -14,6 +14,7 @@
 #include "scenario/testbed.hpp"
 #include "sdr/emitter.hpp"
 #include "tv/channels.hpp"
+#include "util/json_reader.hpp"
 #include "util/units.hpp"
 
 namespace speccal::scenario {
@@ -227,11 +228,16 @@ KindDefaults defaults_for(AdversaryKind kind) noexcept {
 }  // namespace
 
 void AdversaryProfile::validate() const {
+  std::set<std::size_t> indices;
   for (std::size_t n = 0; n < nodes.size(); ++n) {
     const auto where = [n](std::size_t a) {
       return "AdversaryProfile.nodes[" + std::to_string(n) + "].adversaries[" +
              std::to_string(a) + "]";
     };
+    if (!indices.insert(nodes[n].index).second)
+      throw std::invalid_argument("AdversaryProfile.nodes[" +
+                                  std::to_string(n) +
+                                  "].index repeats an earlier node's index");
     if (nodes[n].adversaries.empty())
       throw std::invalid_argument("AdversaryProfile.nodes[" +
                                   std::to_string(n) +
@@ -333,166 +339,63 @@ std::vector<std::shared_ptr<sdr::SignalSource>> AdversaryProfile::sources_for(
 
 namespace {
 
-/// Minimal JSON reader for adversary profiles, the fault-profile parser
-/// convention (sdr/fault.cpp): the library's JSON support stays
-/// write-only; operator-supplied scripts are the one place a parse is
-/// required, so this is a private, schema-sized subset.
-class ProfileParser {
- public:
-  explicit ProfileParser(std::string_view text) : text_(text) {}
+using util::JsonReader;
 
-  AdversaryProfile parse() {
-    AdversaryProfile profile;
-    profile.name = "custom";
-    skip_ws();
-    expect('{');
-    bool first = true;
-    while (!try_consume('}')) {
-      if (!first) expect(',');
-      first = false;
-      const std::string key = parse_string();
-      expect(':');
-      if (key == "name") profile.name = parse_string();
-      else if (key == "seed") profile.seed = static_cast<std::uint64_t>(parse_number());
-      else if (key == "nodes") parse_nodes(profile);
-      else fail("unknown profile key '" + key + "'");
-      skip_ws();
-    }
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing content after profile");
-    return profile;
+AdversarySpec adversary_from(const JsonReader::Value& doc,
+                             const std::string& path) {
+  AdversarySpec spec;
+  for (const auto& [key, v] : doc.object(path)) {
+    const std::string at = path + "." + key;
+    if (key == "kind") spec.kind = v.enumerator(AdversaryKind::kRoguePss, at);
+    else if (key == "eirp_dbm") spec.eirp_dbm = v.number(at);
+    else if (key == "range_m") spec.range_m = v.number(at);
+    else if (key == "azimuth_deg") spec.azimuth_deg = v.number(at);
+    else throw std::invalid_argument("unknown key '" + at + "'");
   }
+  return spec;
+}
 
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::invalid_argument("adversary profile: " + what + " at byte " +
-                                std::to_string(pos_));
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r'))
-      ++pos_;
-  }
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-  void expect(char c) {
-    skip_ws();
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-  bool try_consume(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') fail("escapes are not supported in adversary profiles");
-      out.push_back(c);
+AdversaryProfile::NodeAdversaries node_from(const JsonReader::Value& doc,
+                                            const std::string& path) {
+  AdversaryProfile::NodeAdversaries node;
+  for (const auto& [key, v] : doc.object(path)) {
+    const std::string at = path + "." + key;
+    if (key == "index") {
+      node.index = v.integer<std::size_t>(at);
+    } else if (key == "adversaries") {
+      const JsonReader::Array& adversaries = v.array(at);
+      for (std::size_t a = 0; a < adversaries.size(); ++a)
+        node.adversaries.push_back(
+            adversary_from(adversaries[a], at + "[" + std::to_string(a) + "]"));
+    } else {
+      throw std::invalid_argument("unknown key '" + at + "'");
     }
   }
+  return node;
+}
 
-  double parse_number() {
-    skip_ws();
-    const std::size_t start = pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if ((c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.' ||
-          c == 'e' || c == 'E')
-        ++pos_;
-      else
-        break;
-    }
-    if (pos_ == start) fail("expected a number");
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) fail("bad number '" + token + "'");
-    return v;
-  }
-
-  AdversaryKind parse_kind() {
-    const std::string s = parse_string();
-    if (s == "wideband-jammer") return AdversaryKind::kWidebandJammer;
-    if (s == "swept-jammer") return AdversaryKind::kSweptJammer;
-    if (s == "spurious-cw") return AdversaryKind::kSpuriousCw;
-    if (s == "intermod-pair") return AdversaryKind::kIntermodPair;
-    if (s == "ghost-adsb") return AdversaryKind::kGhostAdsb;
-    if (s == "rogue-pss") return AdversaryKind::kRoguePss;
-    fail("unknown kind '" + s +
-         "' (wideband-jammer|swept-jammer|spurious-cw|intermod-pair|"
-         "ghost-adsb|rogue-pss)");
-  }
-
-  AdversarySpec parse_adversary() {
-    AdversarySpec spec;
-    expect('{');
-    bool first = true;
-    while (!try_consume('}')) {
-      if (!first) expect(',');
-      first = false;
-      const std::string key = parse_string();
-      expect(':');
-      if (key == "kind") spec.kind = parse_kind();
-      else if (key == "eirp_dbm") spec.eirp_dbm = parse_number();
-      else if (key == "range_m") spec.range_m = parse_number();
-      else if (key == "azimuth_deg") spec.azimuth_deg = parse_number();
-      else fail("unknown adversary key '" + key + "'");
-      skip_ws();
-    }
-    return spec;
-  }
-
-  void parse_nodes(AdversaryProfile& profile) {
-    expect('[');
-    if (try_consume(']')) return;
-    for (;;) {
-      AdversaryProfile::NodeAdversaries node;
-      expect('{');
-      bool first = true;
-      while (!try_consume('}')) {
-        if (!first) expect(',');
-        first = false;
-        const std::string key = parse_string();
-        expect(':');
-        if (key == "index") {
-          node.index = static_cast<std::size_t>(parse_number());
-        } else if (key == "adversaries") {
-          expect('[');
-          if (!try_consume(']')) {
-            for (;;) {
-              node.adversaries.push_back(parse_adversary());
-              if (try_consume(']')) break;
-              expect(',');
-            }
-          }
-        } else {
-          fail("unknown node key '" + key + "'");
-        }
-        skip_ws();
-      }
-      profile.nodes.push_back(std::move(node));
-      if (try_consume(']')) return;
-      expect(',');
+/// Schema mapping of an inline JSON profile; every error is an
+/// std::invalid_argument prefixed "adversary profile: ".
+AdversaryProfile profile_from_json(std::string_view text) try {
+  AdversaryProfile profile;
+  profile.name = "custom";
+  const JsonReader::Value doc = JsonReader::parse(text);
+  for (const auto& [key, v] : doc.object("profile")) {
+    if (key == "name") profile.name = v.str(key);
+    else if (key == "seed") profile.seed = v.integer<std::uint64_t>(key);
+    else if (key == "nodes") {
+      const JsonReader::Array& nodes = v.array(key);
+      for (std::size_t n = 0; n < nodes.size(); ++n)
+        profile.nodes.push_back(
+            node_from(nodes[n], "nodes[" + std::to_string(n) + "]"));
+    } else {
+      throw std::invalid_argument("unknown key '" + key + "'");
     }
   }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
+  return profile;
+} catch (const std::invalid_argument& e) {
+  throw std::invalid_argument(std::string("adversary profile: ") + e.what());
+}
 
 AdversaryProfile single_victim(const char* name, std::uint64_t seed,
                                AdversaryKind kind, std::size_t index) {
@@ -528,7 +431,7 @@ AdversaryProfile make_adversary_profile(std::string_view name_or_json) {
   };
   const auto non_ws = name_or_json.find_first_not_of(" \t\r\n");
   if (non_ws != std::string_view::npos && name_or_json[non_ws] == '{')
-    return validated(ProfileParser(name_or_json).parse());
+    return validated(profile_from_json(name_or_json));
 
   if (name_or_json == "none") return AdversaryProfile{};
   if (name_or_json == "jammer")

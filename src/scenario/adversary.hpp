@@ -110,7 +110,7 @@ struct AdversaryProfile {
 /// Built-ins: "none", "jammer", "swept", "cw", "intermod", "ghost-adsb",
 /// "rogue-pss" (one victim each) and "mixed" (six victims, all kinds, node
 /// indices < 20 so any fleet of 20+ works). Throws std::invalid_argument
-/// on an unknown name or malformed document.
+/// on an unknown name or a malformed document, as make_fault_profile does.
 [[nodiscard]] AdversaryProfile make_adversary_profile(
     std::string_view name_or_json);
 

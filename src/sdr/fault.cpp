@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
+#include <set>
 #include <stdexcept>
 #include <thread>
 
 #include "obs/eventlog.hpp"
 #include "obs/metrics.hpp"
+#include "util/json_reader.hpp"
 
 namespace speccal::sdr {
 
@@ -213,11 +214,15 @@ void FaultProfile::validate() const {
     throw std::invalid_argument("FaultProfile.initial_backoff_s must be >= 0");
   if (stage_deadline_s < 0.0)
     throw std::invalid_argument("FaultProfile.stage_deadline_s must be >= 0");
+  std::set<std::size_t> indices;
   for (std::size_t n = 0; n < nodes.size(); ++n) {
     const auto where = [n](std::size_t f) {
       return "FaultProfile.nodes[" + std::to_string(n) + "].faults[" +
              std::to_string(f) + "]";
     };
+    if (!indices.insert(nodes[n].index).second)
+      throw std::invalid_argument("FaultProfile.nodes[" + std::to_string(n) +
+                                  "].index repeats an earlier node's index");
     for (std::size_t f = 0; f < nodes[n].faults.size(); ++f) {
       const FaultSpec& spec = nodes[n].faults[f];
       if (spec.probability < 0.0 || spec.probability > 1.0)
@@ -251,182 +256,68 @@ std::unique_ptr<Device> FaultProfile::wrap(std::unique_ptr<Device> device,
 
 namespace {
 
-/// Minimal JSON reader for fault profiles only. The library's JSON support
-/// is deliberately write-only (util/json.hpp); operator-supplied chaos
-/// profiles are the one place a parse is required, so this stays a private,
-/// schema-sized subset: objects, arrays, strings (no \u escapes), numbers,
-/// booleans. Anything else is a hard std::invalid_argument.
-class ProfileParser {
- public:
-  explicit ProfileParser(std::string_view text) : text_(text) {}
+using util::JsonReader;
 
-  FaultProfile parse() {
-    FaultProfile profile;
-    profile.name = "custom";
-    profile.expected_quarantined_nodes = 0;
-    skip_ws();
-    expect('{');
-    bool first = true;
-    while (!try_consume('}')) {
-      if (!first) expect(',');
-      first = false;
-      const std::string key = parse_string();
-      expect(':');
-      if (key == "name") profile.name = parse_string();
-      else if (key == "seed") profile.seed = static_cast<std::uint64_t>(parse_number());
-      else if (key == "retry_max_attempts") profile.retry_max_attempts = static_cast<int>(parse_number());
-      else if (key == "initial_backoff_s") profile.initial_backoff_s = parse_number();
-      else if (key == "stage_deadline_s") profile.stage_deadline_s = parse_number();
-      else if (key == "expected_quarantined_nodes") profile.expected_quarantined_nodes = static_cast<std::size_t>(parse_number());
-      else if (key == "nodes") parse_nodes(profile);
-      else fail("unknown profile key '" + key + "'");
-      skip_ws();
-    }
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing content after profile");
-    return profile;
+FaultSpec fault_from(const JsonReader::Value& doc, const std::string& path) {
+  FaultSpec spec;
+  for (const auto& [key, v] : doc.object(path)) {
+    const std::string at = path + "." + key;
+    if (key == "op") spec.op = v.enumerator(FaultOp::kGain, at);
+    else if (key == "kind") spec.kind = v.enumerator(FaultKind::kGainDriftDb, at);
+    else if (key == "first") spec.first = v.integer<std::uint64_t>(at);
+    else if (key == "count") spec.count = v.integer<std::int64_t>(at);
+    else if (key == "param") spec.param = v.number(at);
+    else if (key == "probability") spec.probability = v.number(at);
+    else throw std::invalid_argument("unknown key '" + at + "'");
   }
+  return spec;
+}
 
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::invalid_argument("fault profile: " + what + " at byte " +
-                                std::to_string(pos_));
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r'))
-      ++pos_;
-  }
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-  void expect(char c) {
-    skip_ws();
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-  bool try_consume(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') fail("escapes are not supported in fault profiles");
-      out.push_back(c);
+FaultProfile::NodeFaults node_from(const JsonReader::Value& doc,
+                                   const std::string& path) {
+  FaultProfile::NodeFaults node;
+  for (const auto& [key, v] : doc.object(path)) {
+    const std::string at = path + "." + key;
+    if (key == "index") {
+      node.index = v.integer<std::size_t>(at);
+    } else if (key == "faults") {
+      const JsonReader::Array& faults = v.array(at);
+      for (std::size_t f = 0; f < faults.size(); ++f)
+        node.faults.push_back(
+            fault_from(faults[f], at + "[" + std::to_string(f) + "]"));
+    } else {
+      throw std::invalid_argument("unknown key '" + at + "'");
     }
   }
+  return node;
+}
 
-  double parse_number() {
-    skip_ws();
-    const std::size_t start = pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if ((c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.' ||
-          c == 'e' || c == 'E')
-        ++pos_;
-      else
-        break;
-    }
-    if (pos_ == start) fail("expected a number");
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) fail("bad number '" + token + "'");
-    return v;
-  }
-
-  FaultOp parse_op() {
-    const std::string s = parse_string();
-    if (s == "capture") return FaultOp::kCapture;
-    if (s == "tune") return FaultOp::kTune;
-    if (s == "gain") return FaultOp::kGain;
-    fail("unknown op '" + s + "' (capture|tune|gain)");
-  }
-
-  FaultKind parse_kind() {
-    const std::string s = parse_string();
-    if (s == "throw") return FaultKind::kThrow;
-    if (s == "short_read") return FaultKind::kShortRead;
-    if (s == "nan") return FaultKind::kNanBurst;
-    if (s == "saturate") return FaultKind::kSaturate;
-    if (s == "stall") return FaultKind::kStall;
-    if (s == "tune_refuse") return FaultKind::kTuneRefuse;
-    if (s == "gain_drift") return FaultKind::kGainDriftDb;
-    fail("unknown kind '" + s +
-         "' (throw|short_read|nan|saturate|stall|tune_refuse|gain_drift)");
-  }
-
-  FaultSpec parse_fault() {
-    FaultSpec spec;
-    expect('{');
-    bool first = true;
-    while (!try_consume('}')) {
-      if (!first) expect(',');
-      first = false;
-      const std::string key = parse_string();
-      expect(':');
-      if (key == "op") spec.op = parse_op();
-      else if (key == "kind") spec.kind = parse_kind();
-      else if (key == "first") spec.first = static_cast<std::uint64_t>(parse_number());
-      else if (key == "count") spec.count = static_cast<std::int64_t>(parse_number());
-      else if (key == "param") spec.param = parse_number();
-      else if (key == "probability") spec.probability = parse_number();
-      else fail("unknown fault key '" + key + "'");
-      skip_ws();
-    }
-    return spec;
-  }
-
-  void parse_nodes(FaultProfile& profile) {
-    expect('[');
-    if (try_consume(']')) return;
-    for (;;) {
-      FaultProfile::NodeFaults node;
-      expect('{');
-      bool first = true;
-      while (!try_consume('}')) {
-        if (!first) expect(',');
-        first = false;
-        const std::string key = parse_string();
-        expect(':');
-        if (key == "index") {
-          node.index = static_cast<std::size_t>(parse_number());
-        } else if (key == "faults") {
-          expect('[');
-          if (!try_consume(']')) {
-            for (;;) {
-              node.faults.push_back(parse_fault());
-              if (try_consume(']')) break;
-              expect(',');
-            }
-          }
-        } else {
-          fail("unknown node key '" + key + "'");
-        }
-        skip_ws();
-      }
-      profile.nodes.push_back(std::move(node));
-      if (try_consume(']')) return;
-      expect(',');
+/// Schema mapping of an inline JSON profile; every error is an
+/// std::invalid_argument prefixed "fault profile: ".
+FaultProfile profile_from_json(std::string_view text) try {
+  FaultProfile profile;
+  profile.name = "custom";
+  const JsonReader::Value doc = JsonReader::parse(text);
+  for (const auto& [key, v] : doc.object("profile")) {
+    if (key == "name") profile.name = v.str(key);
+    else if (key == "seed") profile.seed = v.integer<std::uint64_t>(key);
+    else if (key == "retry_max_attempts") profile.retry_max_attempts = v.integer<int>(key);
+    else if (key == "initial_backoff_s") profile.initial_backoff_s = v.number(key);
+    else if (key == "stage_deadline_s") profile.stage_deadline_s = v.number(key);
+    else if (key == "expected_quarantined_nodes") profile.expected_quarantined_nodes = v.integer<std::size_t>(key);
+    else if (key == "nodes") {
+      const JsonReader::Array& nodes = v.array(key);
+      for (std::size_t n = 0; n < nodes.size(); ++n)
+        profile.nodes.push_back(
+            node_from(nodes[n], "nodes[" + std::to_string(n) + "]"));
+    } else {
+      throw std::invalid_argument("unknown key '" + key + "'");
     }
   }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
+  return profile;
+} catch (const std::invalid_argument& e) {
+  throw std::invalid_argument(std::string("fault profile: ") + e.what());
+}
 
 /// "flaky20": scripted for a 20-node fleet. Three transient nodes whose
 /// first two captures throw (recover on retry 3), one dead node whose every
@@ -476,7 +367,7 @@ FaultProfile make_fault_profile(std::string_view name_or_json) {
   // Inline JSON document?
   const auto non_ws = name_or_json.find_first_not_of(" \t\r\n");
   if (non_ws != std::string_view::npos && name_or_json[non_ws] == '{')
-    return validated(ProfileParser(name_or_json).parse());
+    return validated(profile_from_json(name_or_json));
 
   if (name_or_json == "none") return FaultProfile{};
   if (name_or_json == "flaky20") return validated(flaky20_profile());

@@ -173,7 +173,9 @@ struct FaultProfile {
 ///    "initial_backoff_s":0.01,"expected_quarantined_nodes":1,
 ///    "nodes":[{"index":5,"faults":[{"op":"capture","kind":"throw",
 ///              "first":0,"count":-1,"param":0,"probability":1}]}]}
-/// Throws std::invalid_argument on an unknown name or malformed document.
+/// Throws std::invalid_argument on an unknown name or a malformed document
+/// (syntax errors carry the byte offset, schema errors the field path,
+/// e.g. "nodes[0].faults[1].first").
 [[nodiscard]] FaultProfile make_fault_profile(std::string_view name_or_json);
 
 }  // namespace speccal::sdr

@@ -1,8 +1,9 @@
 // Minimal streaming JSON writer for exporting calibration reports.
 //
-// Write-only on purpose: the library produces reports for downstream tooling
-// (plotting, dashboards) but never needs to parse JSON itself, so we avoid
-// pulling in a parser dependency.
+// Reports, metrics and traces go to downstream tooling (plotting,
+// dashboards). Reading JSON is util::JsonReader's job (util/json_reader.hpp),
+// the one parser in the repository; tests pin each of the two against
+// literal documents, not only against each other.
 #pragma once
 
 #include <ostream>

@@ -23,15 +23,15 @@
 #include "calib/anomaly.hpp"
 #include "calib/fleet.hpp"
 #include "calib/health.hpp"
-#include "json_reader.hpp"
 #include "obs/metrics.hpp"
 #include "scenario/adversary.hpp"
 #include "scenario/testbed.hpp"
+#include "util/json_reader.hpp"
 
 namespace cal = speccal::calib;
 namespace sc = speccal::scenario;
 namespace obs = speccal::obs;
-namespace tj = speccal::testjson;
+using tj = speccal::util::JsonReader;
 
 namespace {
 
@@ -84,7 +84,6 @@ void calibrate(cal::NodeRegistry& registry, bool armed,
   const auto world = sc::make_world(kSeed);
   cal::RunConfig run;
   run.pipeline = fleet_config(armed);
-  run.retry = run.pipeline.retry;
   run.executor.threads = 2;
   cal::FleetCalibrator calibrator(world, run);
   const auto summary = calibrator.run(fleet_jobs(world, 20, profile), registry);

@@ -245,14 +245,13 @@ TEST(GoertzelStreaming, MultiFrequencyMatchesSingleBitwise) {
   }
 }
 
-TEST(GoertzelStreaming, WrapperAndValidation) {
+TEST(GoertzelStreaming, PowerConventionAndValidation) {
   constexpr double fs = 2e6;
   const auto x = tone_plus_noise(309441.0, fs, 20000, 0.3f, 0.001f, 802);
-  // The legacy one-shot convention: |X|^2 / N^2 (tone of amplitude a reads
-  // a^2). The streaming class must reproduce it exactly via the shim.
+  // The one-shot power convention: |X|^2 / N^2 (tone of amplitude a reads
+  // a^2).
   d::Goertzel g({309441.0}, fs);
   g.feed(x);
-  EXPECT_EQ(d::goertzel_power(x, 309441.0, fs), g.power(0));
   EXPECT_NEAR(g.power(0), 0.09, 0.01);
   EXPECT_THROW(d::Goertzel(std::vector<double>{}, fs), std::invalid_argument);
   EXPECT_THROW(d::Goertzel({1.0}, 0.0), std::invalid_argument);

@@ -299,8 +299,8 @@ TEST(FleetExecutor, QuarantinedStageDoesNotBlockOtherNodes) {
   const auto world = sc::make_world(kSeed);
   cal::RunConfig run;
   run.pipeline = fast_config();
-  run.retry.max_attempts = 2;
-  run.retry.quarantine = true;
+  run.pipeline.retry.max_attempts = 2;
+  run.pipeline.retry.quarantine = true;
   run.executor.threads = 4;
   cal::FleetCalibrator calibrator(world, run);
 
@@ -334,17 +334,18 @@ TEST(FleetExecutor, QuarantinedStageDoesNotBlockOtherNodes) {
 
 TEST(RunConfig, ValidationNamesOffendingField) {
   cal::RunConfig run;
-  run.retry.max_attempts = 0;
+  run.pipeline.retry.max_attempts = 0;
   try {
     run.validate();
     FAIL() << "expected invalid_argument";
   } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("RunConfig.retry.max_attempts"),
-              std::string::npos);
+    EXPECT_NE(
+        std::string(e.what()).find("RunConfig.pipeline.retry.max_attempts"),
+        std::string::npos);
   }
 
   run = {};
-  run.retry.jitter_fraction = 1.5;
+  run.pipeline.retry.jitter_fraction = 1.5;
   EXPECT_THROW(run.validate(), std::invalid_argument);
 
   run = {};
@@ -362,24 +363,11 @@ TEST(RunConfig, ValidationNamesOffendingField) {
   EXPECT_NO_THROW(run.validate());
 }
 
-TEST(RunConfig, ResolvedPipelineAliasesRetry) {
-  // Old-style config: retry set on the pipeline, RunConfig::retry default.
-  cal::RunConfig aliased;
-  aliased.pipeline.retry.max_attempts = 4;
-  EXPECT_EQ(aliased.resolved_pipeline().retry.max_attempts, 4);
-
-  // Canonical field wins when set.
-  cal::RunConfig canonical;
-  canonical.pipeline.retry.max_attempts = 4;
-  canonical.retry.max_attempts = 7;
-  EXPECT_EQ(canonical.resolved_pipeline().retry.max_attempts, 7);
-}
-
 TEST(RunConfig, FleetCtorValidatesAndAppliesThreads) {
   const auto world = sc::make_world(kSeed);
   cal::RunConfig bad;
   bad.pipeline = fast_config();
-  bad.retry.backoff_multiplier = 0.5;
+  bad.pipeline.retry.backoff_multiplier = 0.5;
   EXPECT_THROW(cal::FleetCalibrator(world, bad), std::invalid_argument);
 
   cal::RunConfig good;

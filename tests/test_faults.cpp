@@ -15,10 +15,10 @@
 
 #include "calib/fleet.hpp"
 #include "calib/retry.hpp"
-#include "json_reader.hpp"
 #include "obs/metrics.hpp"
 #include "scenario/testbed.hpp"
 #include "sdr/fault.hpp"
+#include "util/json_reader.hpp"
 
 namespace cal = speccal::calib;
 namespace sc = speccal::scenario;
@@ -320,6 +320,16 @@ TEST(FaultProfile, BuiltinsAndJsonRoundTrip) {
   EXPECT_THROW((void)sdr::make_fault_profile("bogus"), std::invalid_argument);
   EXPECT_THROW((void)sdr::make_fault_profile("{\"nope\":1}"),
                std::invalid_argument);
+  // A node scripted twice: faults_for() would silently drop the second.
+  try {
+    (void)sdr::make_fault_profile(
+        R"({"nodes":[{"index":2,"faults":[{"kind":"throw"}]},
+                     {"index":2,"faults":[{"op":"tune","kind":"tune_refuse"}]}]})");
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("FaultProfile.nodes[1].index"),
+              std::string::npos);
+  }
 }
 
 // --- Retry / backoff / deadline / quarantine --------------------------------
@@ -476,7 +486,7 @@ TEST(Retry, NanAndSaturatedBuffersNeverReachClassifierOutput) {
     for (const auto& reading : report.tv_readings)
       EXPECT_TRUE(std::isfinite(reading.power_dbfs));
     // And the JSON export stays strictly parseable (writer emits no NaN).
-    EXPECT_NO_THROW((void)speccal::testjson::parse(report_json(report)));
+    EXPECT_NO_THROW((void)speccal::util::JsonReader::parse(report_json(report)));
   }
 }
 
@@ -538,9 +548,8 @@ TEST(ChaosFleet, Flaky20ProfileRecoversAndQuarantinesAsScripted) {
 
   cal::RunConfig run;
   run.pipeline = chaos_config();
-  run.retry = run.pipeline.retry;
-  run.retry.max_attempts = profile.retry_max_attempts;
-  run.retry.initial_backoff_s = profile.initial_backoff_s;
+  run.pipeline.retry.max_attempts = profile.retry_max_attempts;
+  run.pipeline.retry.initial_backoff_s = profile.initial_backoff_s;
   run.executor.threads = 4;
   cal::FleetCalibrator calibrator(world, run);
   cal::NodeRegistry registry;
@@ -576,7 +585,7 @@ TEST(GoldenReport, FaultRecordSchemaRoundTripsThroughJson) {
   const cal::CalibrationReport report = pipeline.calibrate(dev, claims);
   ASSERT_TRUE(report.quarantined());
 
-  const auto doc = speccal::testjson::parse(report_json(report));
+  const auto doc = speccal::util::JsonReader::parse(report_json(report));
   EXPECT_EQ(doc.at("node_id").str(), "golden-faulty");
   EXPECT_FALSE(doc.at("aborted").boolean());
   EXPECT_TRUE(doc.at("quarantined").boolean());
@@ -605,7 +614,7 @@ TEST(GoldenReport, FaultRecordSchemaRoundTripsThroughJson) {
   auto clean_device = sc::make_owned_node(sc::Site::kIndoor, world, kSeed);
   cal::NodeClaims clean_claims;
   clean_claims.node_id = "golden-clean";
-  const auto clean_doc = speccal::testjson::parse(
+  const auto clean_doc = speccal::util::JsonReader::parse(
       report_json(pipeline.calibrate(*clean_device, clean_claims)));
   EXPECT_FALSE(clean_doc.at("quarantined").boolean());
   EXPECT_FALSE(clean_doc.has("fault_records"));

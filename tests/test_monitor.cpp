@@ -6,7 +6,6 @@
 
 #include "dsp/fft.hpp"
 #include "dsp/goertzel.hpp"
-#include "dsp/resampler.hpp"
 #include "dsp/welch.hpp"
 #include "monitor/occupancy.hpp"
 #include "monitor/rem.hpp"
@@ -112,48 +111,6 @@ TEST(Welch, BandPowerAndFloor) {
   EXPECT_LT(d::median_floor(result), 1e-5);
 }
 
-// ------------------------------------------------------------- decimator ----
-
-TEST(Decimator, PreservesInBandTone) {
-  constexpr double fs = 8e6;
-  constexpr unsigned factor = 4;
-  const auto x = tone_plus_noise(100e3, fs, 16384, 0.5, 0.0, 7);
-  d::Decimator dec(factor, fs);
-  const auto y = dec.decimate(x);
-  EXPECT_NEAR(static_cast<double>(y.size()),
-              static_cast<double>(x.size()) / factor, 2.0);
-  EXPECT_DOUBLE_EQ(dec.output_rate_hz(), 2e6);
-  // Tone power preserved (skip the filter transient).
-  double power = 0.0;
-  std::size_t counted = 0;
-  for (std::size_t i = 200; i < y.size(); ++i) {
-    power += std::norm(y[i]);
-    ++counted;
-  }
-  EXPECT_NEAR(power / static_cast<double>(counted), 0.25, 0.03);
-}
-
-TEST(Decimator, SuppressesAliases) {
-  constexpr double fs = 8e6;
-  // A tone at 3 MHz would alias to -1 MHz after /4 if unfiltered.
-  const auto x = tone_plus_noise(3e6, fs, 16384, 0.5, 0.0, 8);
-  d::Decimator dec(4, fs);
-  const auto y = dec.decimate(x);
-  double power = 0.0;
-  for (std::size_t i = 200; i < y.size(); ++i) power += std::norm(y[i]);
-  power /= static_cast<double>(y.size() - 200);
-  EXPECT_LT(power, 0.25 * 1e-3);  // > 30 dB alias suppression
-}
-
-TEST(Decimator, FactorOnePassthroughAndValidation) {
-  EXPECT_THROW(d::Decimator(0, 1e6), std::invalid_argument);
-  d::Decimator unity(1, 1e6);
-  std::vector<std::complex<float>> x = {{1, 0}, {0, 1}, {-1, 0}};
-  const auto y = unity.decimate(x);
-  ASSERT_EQ(y.size(), 3u);
-  EXPECT_NEAR(y[0].real(), 1.0f, 1e-6);
-}
-
 // -------------------------------------------------------------- goertzel ----
 
 TEST(Goertzel, MatchesToneAmplitude) {
@@ -172,10 +129,7 @@ TEST(Goertzel, MatchesToneAmplitude) {
   probe.feed(std::span<const std::complex<float>>(x).first(7777));
   probe.feed(std::span<const std::complex<float>>(x).subspan(7777));
   EXPECT_NEAR(probe.power(0), 0.09, 0.01);
-  // The free-function shim (DESIGN.md §8) stays as a thin wrapper.
-  EXPECT_NEAR(d::goertzel_power(x, 309441.0, fs), 0.09, 0.01);
-  EXPECT_LT(d::goertzel_power(x, -500e3, fs), 1e-5);
-  EXPECT_DOUBLE_EQ(d::goertzel_power({}, 1.0, fs), 0.0);
+  EXPECT_LT(probe.power(1), 1e-5);
 }
 
 // --------------------------------------------------------------- scanner ----

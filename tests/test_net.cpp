@@ -645,9 +645,9 @@ TEST(Validation, EveryPublicConfigNamesTheOffendingField) {
   };
 
   cal::RunConfig bad_run;
-  bad_run.retry.max_attempts = 0;
+  bad_run.pipeline.retry.max_attempts = 0;
   EXPECT_NE(message_of([&] { bad_run.validate(); })
-                .find("RunConfig.retry.max_attempts"),
+                .find("RunConfig.pipeline.retry.max_attempts"),
             std::string::npos);
 
   sdr::FaultProfile bad_profile;

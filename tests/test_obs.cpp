@@ -15,17 +15,17 @@
 #include "calib/fleet.hpp"
 #include "calib/metrics.hpp"
 #include "dsp/plan.hpp"
-#include "json_reader.hpp"
 #include "obs/eventlog.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 #include "scenario/testbed.hpp"
+#include "util/json_reader.hpp"
 
 namespace obs = speccal::obs;
 namespace cal = speccal::calib;
 namespace sc = speccal::scenario;
-namespace tj = speccal::testjson;
+using tj = speccal::util::JsonReader;
 
 // ------------------------------------------------------------- registry ----
 

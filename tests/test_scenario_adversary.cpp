@@ -159,6 +159,16 @@ TEST(AdversaryProfile, MalformedJsonAndBadFieldsThrow) {
   EXPECT_THROW(profile.validate(), std::invalid_argument);
   profile.nodes.front().adversaries.clear();
   EXPECT_THROW(profile.validate(), std::invalid_argument);
+  // A node scripted twice: adversaries_for() would silently drop the second.
+  profile.nodes.front().adversaries = {sc::AdversarySpec{}};
+  profile.nodes.push_back(profile.nodes.front());
+  try {
+    profile.validate();
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("AdversaryProfile.nodes[1].index"),
+              std::string::npos);
+  }
 }
 
 TEST(AdversaryProfile, SourcesAreSeededAndPerNode) {

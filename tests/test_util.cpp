@@ -1,18 +1,23 @@
-// Unit tests: util (rng, units, table, json).
+// Unit tests: util (rng, units, table, json writer and reader).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <utility>
 
-#include "json_reader.hpp"
+#include "scenario/adversary.hpp"
+#include "sdr/fault.hpp"
 #include "util/json.hpp"
+#include "util/json_reader.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
 namespace u = speccal::util;
-namespace tj = speccal::testjson;
+using tj = speccal::util::JsonReader;
 
 // ---------------------------------------------------------------- units ----
 
@@ -261,7 +266,7 @@ TEST(Json, NanBecomesNull) {
 TEST(Json, EscapingRoundTripsThroughAParser) {
   // Every byte a span name or node id could carry must survive
   // write -> parse unchanged (the Chrome trace and metrics exports depend
-  // on this; tests/json_reader.hpp is the independent reader).
+  // on this; util::JsonReader is the independent reader).
   std::string nasty = "quote\" backslash\\ slash/ tab\t nl\n cr\r bs\b ff\f";
   for (char c = 1; c < 0x20; ++c) nasty.push_back(c);  // every control byte
   std::ostringstream os;
@@ -313,6 +318,7 @@ TEST(Json, NumbersRoundTrip) {
   ASSERT_EQ(doc.array().size(), 4u);
   EXPECT_DOUBLE_EQ(doc.array()[0].number(), -12.5);
   EXPECT_DOUBLE_EQ(doc.array()[1].number(), 1e-9);
+  EXPECT_EQ(doc.array()[2].integer<std::int64_t>(), -9007199254740993);
   EXPECT_DOUBLE_EQ(doc.array()[3].number(), 0.0);
 }
 
@@ -335,4 +341,210 @@ TEST(Json, RejectsProtocolErrors) {
     w.begin_object();
     EXPECT_THROW(w.end_array(), std::logic_error);  // mismatched close
   }
+}
+
+// ------------------------------------------------------------ json reader ----
+
+namespace {
+
+/// What `f` throws as std::invalid_argument ("" when it returns).
+template <typename F>
+std::string error_of(F f) {
+  try {
+    f();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+std::string parse_error(std::string_view text) {
+  return error_of([text] { (void)tj::parse(text); });
+}
+
+}  // namespace
+
+TEST(JsonReader, Rfc8259Vectors) {
+  const tj::Value doc = tj::parse(
+      " {\"s\":\"q\\\" b\\\\ s\\/ \\b\\f\\n\\r\\t \\u00e9\\u20AC\\ud83d\\ude00\","
+      "\"n\":[0,-0,1.5,-2.5e-3,1E2,123456789],\"t\":true,\"f\":false,"
+      "\"z\":null,\"e\":{},\"a\":[]}\r\n");
+  EXPECT_EQ(doc.at("s").str(),
+            "q\" b\\ s/ \b\f\n\r\t \xC3\xA9\xE2\x82\xAC\xF0\x9F\x98\x80");
+  const tj::Array& n = doc.at("n").array();
+  ASSERT_EQ(n.size(), 6u);
+  EXPECT_EQ(n[0].number(), 0.0);
+  EXPECT_TRUE(std::signbit(n[1].number()));
+  EXPECT_EQ(n[2].number(), 1.5);
+  EXPECT_EQ(n[3].number(), -2.5e-3);
+  EXPECT_EQ(n[4].number(), 100.0);
+  EXPECT_EQ(n[5].integer<int>(), 123456789);
+  EXPECT_TRUE(doc.at("t").boolean());
+  EXPECT_FALSE(doc.at("f").boolean());
+  EXPECT_TRUE(doc.at("z").is_null());
+  EXPECT_TRUE(doc.at("e").object().empty());
+  EXPECT_TRUE(doc.at("a").array().empty());
+  EXPECT_EQ(tj::parse(R"("a\"b")").str(), "a\"b");
+  EXPECT_EQ(tj::parse("7").number(), 7.0);
+}
+
+TEST(JsonReader, RejectsNonRfcInputAtItsByteOffset) {
+  const std::pair<std::string, std::string> cases[] = {
+      {R"({"a":1,"a":2})", "duplicate key 'a' at byte 7"},
+      {"\"tab\there\"", "raw control character in string at byte 4"},
+      {R"("\ud800")", "lone high surrogate at byte 7"},
+      {R"("\ud800\u0041")", "lone high surrogate at byte 13"},
+      {R"("\udc00")", "lone low surrogate at byte 7"},
+      {"+1", "expected a JSON value at byte 0"},
+      {".5", "expected a JSON value at byte 0"},
+      {"01", "trailing content after document at byte 1"},
+      {"NaN", "expected a JSON value at byte 0"},
+      {"1.", "expected a JSON value at byte 0"},
+      {"1e400", "number out of range at byte 0"},
+      {"[1] x", "trailing content after document at byte 4"},
+      {"[1,]", "expected a JSON value at byte 3"},
+      {R"({"a" 1})", "expected ':' at byte 5"},
+      {R"("\x")", "bad escape at byte 2"},
+      {R"("\u12G4")", "bad \\u escape at byte 3"},
+      {"[", "unexpected end of input at byte 1"},
+      {"", "unexpected end of input at byte 0"},
+  };
+  for (const auto& [text, message] : cases)
+    EXPECT_EQ(parse_error(text), message) << text;
+}
+
+TEST(JsonReader, NestingDepthIsBounded) {
+  const auto nested = [](int depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_EQ(parse_error(nested(tj::kMaxDepth)), "");
+  EXPECT_EQ(parse_error(nested(tj::kMaxDepth + 1)),
+            "nesting deeper than 64 levels at byte 64");
+  // A 128 KiB bomb throws instead of overflowing the recursive reader's stack.
+  EXPECT_EQ(parse_error(std::string(128 * 1024, '[')),
+            "nesting deeper than 64 levels at byte 64");
+}
+
+TEST(JsonReader, IntegersConvertExactlyFromTheNumberText) {
+  EXPECT_EQ(tj::parse("18446744073709551615").integer<std::uint64_t>(),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(tj::parse("-9223372036854775808").integer<std::int64_t>(),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(tj::parse("1e3").integer<int>(), 1000);
+  EXPECT_EQ(tj::parse("2.50E1").integer<int>(), 25);
+  EXPECT_EQ(tj::parse("-0.0").integer<unsigned>(), 0u);
+  const auto error = [](const char* text) {
+    return error_of([text] { (void)tj::parse(text).integer<std::int32_t>("x"); });
+  };
+  EXPECT_EQ(error("2.7"), "x must be an integer, got 2.7");
+  EXPECT_EQ(error("1e-1"), "x must be an integer, got 1e-1");
+  EXPECT_EQ(error("2147483648"), "x = 2147483648 is out of range");
+  EXPECT_EQ(error("-2147483649"), "x = -2147483649 is out of range");
+  EXPECT_EQ(error(R"("7")"), "x must be an integer");
+  EXPECT_EQ(error_of([] { (void)tj::parse("-1").integer<unsigned>("x"); }),
+            "x = -1 must not be negative");
+
+  // Bare-text form, as command-line flags use it: one number, nothing else.
+  EXPECT_EQ(tj::integer<unsigned>("4", "--threads"), 4u);
+  EXPECT_EQ(tj::number("2.5", "--slo"), 2.5);
+  EXPECT_EQ(error_of([] { (void)tj::integer<int>("1e999999999999", "x"); }),
+            "x = 1e999999999999 is out of range");
+  for (const char* text : {"four", " 4", "4 ", "+4", "", "0x10", "[4]"})
+    EXPECT_EQ(error_of([text] { (void)tj::integer<unsigned>(text, "--threads"); }),
+              "--threads must be a number, got '" + std::string(text) + "'");
+  EXPECT_EQ(error_of([] { (void)tj::number("1e999", "--slo"); }),
+            "--slo = 1e999 is out of range");
+}
+
+TEST(JsonReader, ProfileProbeInputsThrowNamingTheField) {
+  namespace sd = speccal::sdr;
+  namespace sc = speccal::scenario;
+  const std::pair<const char*, const char*> fault_probes[] = {
+      {R"({"nodes":[{"index":-1}]})", "nodes[0].index = -1 must not be negative"},
+      {R"({"nodes":[{"index":2,"faults":[{"first":0},{"first":-3}]}]})",
+       "nodes[0].faults[1].first = -3 must not be negative"},
+      {R"({"expected_quarantined_nodes":-1})",
+       "expected_quarantined_nodes = -1 must not be negative"},
+      {R"({"retry_max_attempts":1e10})", "retry_max_attempts = 1e10 is out of range"},
+      {R"({"nodes":[{"index":2.7}]})", "nodes[0].index must be an integer, got 2.7"},
+      {R"({"seed":1,"seed":2})", "duplicate key 'seed' at byte 10"},
+      {R"({"initial_backoff_s":+.5e1})", "expected a JSON value at byte 21"},
+      {R"({"nodes":[{"index":1,"faults":[{"op":"jam"}]}]})",
+       "nodes[0].faults[0].op: unknown value 'jam' (capture|tune|gain)"},
+      {R"({"nodes":[{"index":1,"faults":[{"count":"1"}]}]})",
+       "nodes[0].faults[0].count must be an integer"},
+      {R"({"nodes":{}})", "nodes must be an array"},
+      {R"({"nodes":[{"faults":[{"when":1}]}]})", "unknown key 'nodes[0].faults[0].when'"},
+  };
+  for (const auto& [doc, message] : fault_probes)
+    EXPECT_EQ(error_of([doc] { (void)sd::make_fault_profile(doc); }),
+              std::string("fault profile: ") + message);
+  const std::pair<const char*, const char*> adversary_probes[] = {
+      {R"({"seed":-5})", "seed = -5 must not be negative"},
+      {R"({"nodes":[{"index":-1,"adversaries":[]}]})",
+       "nodes[0].index = -1 must not be negative"},
+      {R"({"nodes":[{"adversaries":[{"range_m":true}]}]})",
+       "nodes[0].adversaries[0].range_m must be a number"},
+  };
+  for (const auto& [doc, message] : adversary_probes)
+    EXPECT_EQ(error_of([doc] { (void)sc::make_adversary_profile(doc); }),
+              std::string("adversary profile: ") + message);
+
+  // Escapes are JSON like any other; a u64 seed above 2^53 is exact.
+  EXPECT_EQ(sd::make_fault_profile(R"({"name":"a\"b"})").name, "a\"b");
+  EXPECT_EQ(sd::make_fault_profile(R"({"seed":18446744073709551615})").seed,
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(sc::make_adversary_profile(R"({"seed":18446744073709551615})").seed,
+            std::numeric_limits<std::uint64_t>::max());
+}
+
+TEST(JsonReader, SeededProfileMutationFuzz) {
+  // 4000 seeded edits (substitute, insert or delete up to three bytes,
+  // half of them drawn from JSON's own punctuation) of one valid fault and
+  // one valid adversary document. Every mutant must come back as a profile
+  // that passes validate() or be refused with std::invalid_argument;
+  // nothing else may escape and nothing may crash (the sanitizer CI leg
+  // runs this too).
+  namespace sd = speccal::sdr;
+  namespace sc = speccal::scenario;
+  const std::string docs[] = {
+      R"({"name":"f","seed":7,"retry_max_attempts":4,"initial_backoff_s":0.01,)"
+      R"("stage_deadline_s":0,"expected_quarantined_nodes":1,"nodes":[)"
+      R"({"index":5,"faults":[{"op":"capture","kind":"throw","first":0,)"
+      R"("count":-1,"param":0,"probability":1}]},{"index":9,"faults":[)"
+      R"({"op":"tune","kind":"tune_refuse","first":2,"count":3,)"
+      R"("probability":0.5}]}]})",
+      R"({"name":"a","seed":7,"nodes":[{"index":3,"adversaries":[)"
+      R"({"kind":"spurious-cw","eirp_dbm":30,"range_m":150,"azimuth_deg":270}]},)"
+      R"({"index":4,"adversaries":[{"kind":"ghost-adsb"}]}]})",
+  };
+  const std::string punctuation = "{}[]\",:-+.0123456789eE \\u";
+  u::Rng rng(13);
+  std::size_t accepted = 0;
+  for (int iter = 0; iter < 4000; ++iter) {
+    std::string doc = docs[iter % 2];
+    const int edits = 1 + static_cast<int>(rng.uniform_int(0, 2));
+    for (int e = 0; e < edits; ++e) {
+      const auto pos = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(doc.size()) - 1));
+      const char c = rng.chance(0.5)
+                         ? punctuation[static_cast<std::size_t>(rng.uniform_int(
+                               0, static_cast<std::int64_t>(punctuation.size()) - 1))]
+                         : static_cast<char>(rng.uniform_int(0, 255));
+      switch (rng.uniform_int(0, 2)) {
+        case 0: doc[pos] = c; break;
+        case 1: doc.insert(pos, 1, c); break;
+        default: doc.erase(pos, 1);
+      }
+    }
+    try {
+      if (iter % 2 == 0) sd::make_fault_profile(doc).validate();
+      else sc::make_adversary_profile(doc).validate();
+      ++accepted;
+    } catch (const std::invalid_argument&) {
+    }
+  }
+  // Some edits keep the document valid (a digit for a digit, a space).
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, 4000u);
 }
