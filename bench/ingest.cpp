@@ -9,7 +9,8 @@
 // as the tolerance conformance gate in CI.
 //
 // Results go to BENCH_ingest.json (--json=PATH; schema v1). --iters=N
-// scales the number of timed passes over the capture set.
+// scales the number of timed passes over the capture set; N must be a
+// positive JSON integer (anything else is a usage error, exit 2).
 #include <chrono>
 #include <cmath>
 #include <fstream>
@@ -20,6 +21,7 @@
 
 #include "net/segment.hpp"
 #include "util/json.hpp"
+#include "util/json_reader.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -226,12 +228,25 @@ bool write_bench_json(const std::string& path, const std::vector<EncodingRow>& r
 int main(int argc, char** argv) {
   std::string json_path = "BENCH_ingest.json";
   int iters = 8;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--json=", 0) == 0) json_path = arg.substr(7);
-    if (arg.rfind("--iters=", 0) == 0) iters = std::stoi(arg.substr(8));
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg.rfind("--json=", 0) == 0) {
+        json_path = arg.substr(7);
+      } else if (arg.rfind("--iters=", 0) == 0) {
+        iters = util::JsonReader::integer<int>(arg.substr(8), "--iters");
+        if (iters < 1)
+          throw std::invalid_argument("--iters = " + arg.substr(8) +
+                                      " must be at least 1");
+      } else {
+        throw std::invalid_argument("unknown flag " + arg);
+      }
+    }
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "ingest: " << e.what() << "\n"
+              << "usage: ingest [--json=PATH] [--iters=N]\n";
+    return 2;
   }
-  if (iters < 1) iters = 1;
 
   const auto captures = make_captures();
   std::cout << "Segment ingest: " << kCaptures << " captures x "

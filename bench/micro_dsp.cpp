@@ -1,25 +1,23 @@
 // Microbenchmarks: DSP primitives behind the TV power meter and the
-// spectrum tooling (google-benchmark), plus a self-contained before/after
-// comparison of the plan-based engine against the pre-plan free-function
-// implementation, written to BENCH_dsp.json (schema in DESIGN.md §8).
+// spectrum tooling (google-benchmark), plus the gated TV detector timed
+// against a full-capture Welch integration, written to BENCH_dsp.json
+// (schema in DESIGN.md §8).
 //
 // Usage:
 //   micro_dsp [gbench flags] [--json=PATH] [--compare-iters=N]
 // --json defaults to BENCH_dsp.json in the working directory;
 // --compare-iters caps the comparison loop (0 = auto-calibrate to ~0.25 s
-// per variant; CI's bench-smoke job passes a small fixed count).
+// per variant; CI's bench-smoke job passes a small fixed count). A count
+// that is not a non-negative JSON integer is a usage error (exit 2).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <cmath>
 #include <complex>
 #include <fstream>
 #include <iostream>
-#include <numbers>
 #include <string>
 #include <vector>
 
-#include "dsp/fft.hpp"
 #include "dsp/fir.hpp"
 #include "dsp/goertzel.hpp"
 #include "dsp/plan.hpp"
@@ -27,105 +25,13 @@
 #include "dsp/welch.hpp"
 #include "dsp/window.hpp"
 #include "util/json.hpp"
+#include "util/json_reader.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
 using namespace speccal;
 
 namespace {
-
-// ------------------------------------------------------------ pre-PR ref ----
-
-/// The pre-plan power_spectrum, kept verbatim as the comparison baseline:
-/// widens the I/Q block to complex<double>, allocates a fresh work buffer
-/// and recomputes twiddles by recurrence on every call.
-namespace legacy {
-
-void fft_inplace(std::span<std::complex<double>> data) {
-  const std::size_t n = data.size();
-  for (std::size_t i = 1, j = 0; i < n; ++i) {
-    std::size_t bit = n >> 1;
-    for (; j & bit; bit >>= 1) j ^= bit;
-    j ^= bit;
-    if (i < j) std::swap(data[i], data[j]);
-  }
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const double angle = -2.0 * std::numbers::pi / static_cast<double>(len);
-    const std::complex<double> wlen(std::cos(angle), std::sin(angle));
-    for (std::size_t i = 0; i < n; i += len) {
-      std::complex<double> w(1.0, 0.0);
-      for (std::size_t k = 0; k < len / 2; ++k) {
-        const std::complex<double> u = data[i + k];
-        const std::complex<double> v = data[i + k + len / 2] * w;
-        data[i + k] = u + v;
-        data[i + k + len / 2] = u - v;
-        w *= wlen;
-      }
-    }
-  }
-}
-
-std::vector<double> power_spectrum(std::span<const std::complex<float>> block,
-                                   std::span<const double> window) {
-  if (block.empty()) return {};
-  std::size_t n = 1;
-  while (n < block.size()) n <<= 1;
-
-  std::vector<std::complex<double>> work(n, {0.0, 0.0});
-  double window_power = 0.0;
-  for (std::size_t i = 0; i < block.size(); ++i) {
-    const double w = (i < window.size()) ? window[i] : 1.0;
-    window_power += w * w;
-    work[i] = std::complex<double>(block[i].real(), block[i].imag()) * w;
-  }
-  if (window.empty()) window_power = static_cast<double>(block.size());
-
-  fft_inplace(work);
-
-  const double scale = 1.0 / (window_power * static_cast<double>(block.size()));
-  std::vector<double> spectrum(n);
-  for (std::size_t k = 0; k < n; ++k) spectrum[k] = std::norm(work[k]) * scale;
-  return spectrum;
-}
-
-/// The pre-streaming goertzel_power, verbatim: one bin per pass, a
-/// complex<double> rotation-accumulate (two double complex multiplies per
-/// sample) instead of the two-real-multiply recurrence.
-double goertzel_power(std::span<const std::complex<float>> block, double freq_hz,
-                      double sample_rate_hz) noexcept {
-  if (block.empty()) return 0.0;
-  const double w = 2.0 * std::numbers::pi * freq_hz / sample_rate_hz;
-  const std::complex<double> coeff(std::cos(w), std::sin(w));
-  std::complex<double> acc{};
-  std::complex<double> phasor(1.0, 0.0);
-  for (const auto& s : block) {
-    acc += std::complex<double>(s.real(), s.imag()) * std::conj(phasor);
-    phasor *= coeff;
-  }
-  const double n = static_cast<double>(block.size());
-  return std::norm(acc) / (n * n);
-}
-
-/// The pre-gate ADS-B first stage, verbatim: scalar |x|^2 followed by the
-/// per-position pulse-min / quiet-max compare.
-std::size_t preamble_scan(std::span<const std::complex<float>> samples,
-                          std::size_t n_positions) {
-  constexpr std::size_t kPulse[] = {0, 2, 7, 9};
-  constexpr std::size_t kQuiet[] = {1, 3, 5, 11, 13, 15};
-  std::vector<float> mag(samples.size());
-  for (std::size_t i = 0; i < samples.size(); ++i) mag[i] = std::norm(samples[i]);
-  std::size_t hits = 0;
-  for (std::size_t i = 0; i < n_positions; ++i) {
-    float pulse_min = mag[i + kPulse[0]];
-    for (std::size_t p : kPulse) pulse_min = std::min(pulse_min, mag[i + p]);
-    float quiet_max = 0.0f;
-    for (std::size_t q : kQuiet) quiet_max = std::max(quiet_max, mag[i + q]);
-    if (pulse_min > quiet_max) ++hits;
-  }
-  return hits;
-}
-
-}  // namespace legacy
 
 std::vector<std::complex<float>> noise_block(std::size_t n, std::uint64_t seed) {
   util::Rng rng(seed);
@@ -166,17 +72,6 @@ void BM_FftPlanFloat(benchmark::State& state) {
                           static_cast<int64_t>(n));
 }
 BENCHMARK(BM_FftPlanFloat)->Arg(1024)->Arg(8192)->Arg(65536);
-
-void BM_PowerSpectrumLegacy(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto data = noise_block(n, 2);
-  const auto window = dsp::make_window(dsp::WindowType::kBlackmanHarris, n);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(legacy::power_spectrum(data, window));
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n));
-}
-BENCHMARK(BM_PowerSpectrumLegacy)->Arg(4096)->Arg(8192);
 
 void BM_PowerSpectrumPlan(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -260,7 +155,7 @@ struct CompareRow {
   double samples_per_s = 0.0;
 };
 
-/// Time `fn` (one 4096-point power spectrum per call). iters == 0
+/// Time `iters` calls of `fn`, each processing `n` samples. iters == 0
 /// auto-calibrates to ~0.25 s.
 template <typename Fn>
 CompareRow time_variant(const std::string& variant, std::size_t n,
@@ -290,125 +185,42 @@ CompareRow time_variant(const std::string& variant, std::size_t n,
   return row;
 }
 
-struct Comparison {
-  std::string name;
-  CompareRow before;
-  CompareRow after;
-
-  [[nodiscard]] double speedup() const noexcept {
-    return before.samples_per_s > 0.0 ? after.samples_per_s / before.samples_per_s
-                                      : 0.0;
-  }
-};
-
-/// The acceptance comparisons (schema v2, one speedup entry per row):
-///   - power_spectrum_4096_float: pre-plan free function vs plan estimator
-///     (the PR-3 row, kept for baseline continuity; the plan side now runs
-///     the SIMD butterfly/power kernels);
-///   - tv_vacant_channel_power_160k: full-capture Welch integrate vs the
-///     Goertzel pilot gate + abbreviated prefix — the gated-detector row
-///     CI's bench-smoke holds to >= 4x;
-///   - adsb_preamble_first_stage_64k: scalar |x|^2 + min/max scan vs the
-///     SIMD magnitude + candidate-bitmap kernels;
-///   - goertzel_pilot_probe_3bin_16k: legacy rotate-accumulate (one bin per
-///     pass) vs the streaming multi-bin recurrence.
+/// The gated-detector comparison (schema v3), two current library paths on
+/// one vacant 20 ms TV channel at 8 Msps: integrate the whole capture with
+/// Welch vs probe the pilot with Goertzel and integrate the 10% prefix
+/// (exactly what tv::PowerMeter's gate does on a skip). CI's bench-smoke
+/// holds the speedup to >= 4x.
 int write_bench_json(const std::string& path, std::size_t compare_iters) {
-  std::vector<Comparison> comparisons;
-
-  {
-    constexpr std::size_t kN = 4096;
-    const auto block = noise_block(kN, 42);
-    const auto window = dsp::make_window(dsp::WindowType::kBlackmanHarris, kN);
-    Comparison c;
-    c.name = "power_spectrum_4096_float";
-    c.before = time_variant("pre_plan_free_function", kN, compare_iters, [&] {
-      benchmark::DoNotOptimize(legacy::power_spectrum(block, window));
-    });
-    dsp::SpectrumEstimator estimator(kN, window);
-    std::vector<double> out;
-    c.after = time_variant("fft_plan_estimator", kN, compare_iters, [&] {
-      estimator.estimate(block, out);
-      benchmark::DoNotOptimize(out.data());
-    });
-    comparisons.push_back(std::move(c));
-  }
-
-  {
-    // One vacant 20 ms TV channel at 8 Msps: integrate the whole capture vs
-    // probe the pilot with Goertzel and integrate the 10% prefix (exactly
-    // what tv::PowerMeter's gate does on a skip).
-    constexpr std::size_t kN = 160000;
-    constexpr double kFs = 8e6;
-    constexpr double kPilot = -2.690559e6;
-    const auto capture = noise_block(kN, 7);
-    dsp::WelchEstimator welch{dsp::WelchConfig{}};
-    dsp::WelchResult res;
-    Comparison c;
-    c.name = "tv_vacant_channel_power_160k";
-    c.before = time_variant("full_capture_welch", kN, compare_iters, [&] {
-      welch.estimate_into(capture, kFs, res);
+  const std::string name = "tv_vacant_channel_power_160k";
+  constexpr std::size_t kN = 160000;
+  constexpr double kFs = 8e6;
+  constexpr double kPilot = -2.690559e6;
+  const auto capture = noise_block(kN, 7);
+  dsp::WelchEstimator welch{dsp::WelchConfig{}};
+  dsp::WelchResult res;
+  const auto before = time_variant("full_capture_welch", kN, compare_iters, [&] {
+    welch.estimate_into(capture, kFs, res);
+    benchmark::DoNotOptimize(dsp::band_power(res, kFs, -2.69e6, 2.69e6));
+  });
+  dsp::Goertzel probe({kPilot, kPilot + 250e3, kPilot - 250e3}, kFs);
+  const std::span<const std::complex<float>> span(capture);
+  const auto after = time_variant("goertzel_gate_prefix", kN, compare_iters, [&] {
+    // 4 averaged sub-segments over the 10% gate prefix.
+    double pilot = 0.0, floor = 0.0;
+    for (std::size_t s = 0; s < 4; ++s) {
+      probe.reset();
+      probe.feed(span.subspan(s * 4000, 4000));
+      pilot += probe.power(0);
+      floor += 0.5 * (probe.power(1) + probe.power(2));
+    }
+    benchmark::DoNotOptimize(pilot);
+    if (pilot < util::db_to_ratio(6.0) * floor) {  // vacant: always true
+      welch.estimate_into(span.first(16000), kFs, res);
       benchmark::DoNotOptimize(dsp::band_power(res, kFs, -2.69e6, 2.69e6));
-    });
-    dsp::Goertzel probe({kPilot, kPilot + 250e3, kPilot - 250e3}, kFs);
-    const std::span<const std::complex<float>> span(capture);
-    c.after = time_variant("goertzel_gate_prefix", kN, compare_iters, [&] {
-      // 4 averaged sub-segments over the 10% gate prefix.
-      double pilot = 0.0, floor = 0.0;
-      for (std::size_t s = 0; s < 4; ++s) {
-        probe.reset();
-        probe.feed(span.subspan(s * 4000, 4000));
-        pilot += probe.power(0);
-        floor += 0.5 * (probe.power(1) + probe.power(2));
-      }
-      benchmark::DoNotOptimize(pilot);
-      if (pilot < util::db_to_ratio(6.0) * floor) {  // vacant: always true
-        welch.estimate_into(span.first(16000), kFs, res);
-        benchmark::DoNotOptimize(dsp::band_power(res, kFs, -2.69e6, 2.69e6));
-      }
-    });
-    comparisons.push_back(std::move(c));
-  }
-
-  {
-    constexpr std::size_t kPositions = 65536;
-    const auto samples = noise_block(kPositions + 240, 8);
-    Comparison c;
-    c.name = "adsb_preamble_first_stage_64k";
-    c.before = time_variant("scalar_scan", kPositions, compare_iters, [&] {
-      benchmark::DoNotOptimize(legacy::preamble_scan(samples, kPositions));
-    });
-    std::vector<float> mag(samples.size());
-    std::vector<std::uint8_t> bitmap(kPositions);
-    c.after = time_variant("simd_bitmap", kPositions, compare_iters, [&] {
-      dsp::simd::magnitude_squared(samples.data(), mag.data(), samples.size());
-      dsp::simd::preamble_candidates(mag.data(), kPositions, bitmap.data());
-      benchmark::DoNotOptimize(bitmap.data());
-    });
-    comparisons.push_back(std::move(c));
-  }
-
-  {
-    constexpr std::size_t kN = 16384;
-    constexpr double kFs = 8e6;
-    const auto block = noise_block(kN, 9);
-    const std::vector<double> freqs = {-2.690559e6, -2.440559e6, -2.940559e6};
-    Comparison c;
-    c.name = "goertzel_pilot_probe_3bin_16k";
-    c.before = time_variant("rotate_accumulate", kN, compare_iters, [&] {
-      double total = 0.0;
-      for (double f : freqs) total += legacy::goertzel_power(block, f, kFs);
-      benchmark::DoNotOptimize(total);
-    });
-    dsp::Goertzel g(freqs, kFs);
-    c.after = time_variant("streaming_recurrence", kN, compare_iters, [&] {
-      g.reset();
-      g.feed(block);
-      double total = 0.0;
-      for (std::size_t b = 0; b < g.bin_count(); ++b) total += g.power(b);
-      benchmark::DoNotOptimize(total);
-    });
-    comparisons.push_back(std::move(c));
-  }
+    }
+  });
+  const double speedup =
+      before.samples_per_s > 0.0 ? after.samples_per_s / before.samples_per_s : 0.0;
 
   std::ofstream os(path);
   if (!os) {
@@ -420,43 +232,37 @@ int write_bench_json(const std::string& path, std::size_t compare_iters) {
   w.key("bench");
   w.value("micro_dsp");
   w.key("schema_version");
-  w.value(2);
+  w.value(3);
   w.key("simd_backend");
   w.value(dsp::simd::backend_name());
   w.key("results");
   w.begin_array();
-  for (const auto& c : comparisons) {
-    for (const auto* row : {&c.before, &c.after}) {
-      w.begin_object();
-      w.key("name");
-      w.value(c.name);
-      w.key("variant");
-      w.value(row->variant);
-      w.key("iterations");
-      w.value(row->iterations);
-      w.key("wall_s");
-      w.value(row->wall_s);
-      w.key("samples_per_s");
-      w.value(row->samples_per_s);
-      w.end_object();
-    }
+  for (const auto* row : {&before, &after}) {
+    w.begin_object();
+    w.key("name");
+    w.value(name);
+    w.key("variant");
+    w.value(row->variant);
+    w.key("iterations");
+    w.value(row->iterations);
+    w.key("wall_s");
+    w.value(row->wall_s);
+    w.key("samples_per_s");
+    w.value(row->samples_per_s);
+    w.end_object();
   }
   w.end_array();
   w.key("speedup");
   w.begin_object();
-  for (const auto& c : comparisons) {
-    w.key(c.name);
-    w.value(c.speedup());
-  }
+  w.key(name);
+  w.value(speedup);
   w.end_object();
   w.end_object();
   os << "\n";
 
-  for (const auto& c : comparisons)
-    std::cout << c.name << ": " << c.before.variant << " "
-              << c.before.samples_per_s / 1e6 << " Msps, " << c.after.variant
-              << " " << c.after.samples_per_s / 1e6 << " Msps, speedup "
-              << c.speedup() << "x\n";
+  std::cout << name << ": " << before.variant << " " << before.samples_per_s / 1e6
+            << " Msps, " << after.variant << " " << after.samples_per_s / 1e6
+            << " Msps, speedup " << speedup << "x\n";
   std::cout << "simd backend: " << dsp::simd::backend_name() << " -> " << path
             << "\n";
   return 0;
@@ -476,7 +282,15 @@ int main(int argc, char** argv) {
     if (arg.rfind("--json=", 0) == 0) {
       json_path = arg.substr(7);
     } else if (arg.rfind("--compare-iters=", 0) == 0) {
-      compare_iters = static_cast<std::size_t>(std::stoull(arg.substr(16)));
+      try {
+        compare_iters = util::JsonReader::integer<std::size_t>(arg.substr(16),
+                                                               "--compare-iters");
+      } catch (const std::invalid_argument& e) {
+        std::cerr << "micro_dsp: " << e.what() << "\n"
+                  << "usage: micro_dsp [gbench flags] [--json=PATH] "
+                     "[--compare-iters=N]\n";
+        return 2;
+      }
     } else {
       gbench_args.push_back(argv[i]);
     }

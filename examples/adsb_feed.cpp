@@ -7,8 +7,8 @@
 // positions, callsigns) enriches the SBS stream. Finally replays its own
 // AVR output through from_avr() to show loss-free round-tripping.
 //
-// Run: ./adsb_feed [seconds]
-#include <cstdlib>
+// Run: ./adsb_feed [seconds]   (default 3; a positive JSON number, anything
+// else is a usage error)
 #include <iostream>
 
 #include "adsb/altitude.hpp"
@@ -16,11 +16,21 @@
 #include "adsb/io.hpp"
 #include "airtraffic/adsb_source.hpp"
 #include "scenario/testbed.hpp"
+#include "util/json_reader.hpp"
 
 using namespace speccal;
 
 int main(int argc, char** argv) {
-  const double duration_s = argc > 1 ? std::atof(argv[1]) : 3.0;
+  double duration_s = 3.0;
+  try {
+    if (argc > 1) duration_s = util::JsonReader::number(argv[1], "seconds");
+    if (duration_s <= 0.0)
+      throw std::invalid_argument("seconds = " + std::string(argv[1]) +
+                                  " must be positive");
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "adsb_feed: " << e.what() << "\nusage: adsb_feed [seconds]\n";
+    return 2;
+  }
   constexpr std::uint64_t kSeed = 23;
 
   const auto world = scenario::make_world(kSeed, 25);

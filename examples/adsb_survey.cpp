@@ -3,20 +3,30 @@
 // equivalent of watching dump1090 + FlightRadar24 side by side.
 //
 // Run: ./adsb_survey [seconds] [aircraft]     (defaults: 30 s, 70 aircraft)
-#include <cstdlib>
+// Both are JSON numbers (util::JsonReader); anything else, a non-positive
+// duration or a fractional or negative aircraft count is a usage error.
 #include <iostream>
 
 #include "calib/fov.hpp"
 #include "scenario/testbed.hpp"
+#include "util/json_reader.hpp"
 #include "util/table.hpp"
 
 using namespace speccal;
 
 int main(int argc, char** argv) {
-  const double duration_s = argc > 1 ? std::atof(argv[1]) : 30.0;
-  const std::size_t aircraft = argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2])) : 70;
-  if (duration_s <= 0.0) {
-    std::cerr << "usage: adsb_survey [seconds] [aircraft]\n";
+  double duration_s = 30.0;
+  std::size_t aircraft = 70;
+  try {
+    if (argc > 1) duration_s = util::JsonReader::number(argv[1], "seconds");
+    if (argc > 2)
+      aircraft = util::JsonReader::integer<std::size_t>(argv[2], "aircraft");
+    if (duration_s <= 0.0)
+      throw std::invalid_argument("seconds = " + std::string(argv[1]) +
+                                  " must be positive");
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "adsb_survey: " << e.what() << "\n"
+              << "usage: adsb_survey [seconds] [aircraft]\n";
     return 2;
   }
 

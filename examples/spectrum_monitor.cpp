@@ -14,6 +14,7 @@
 #include "monitor/occupancy.hpp"
 #include "monitor/rem.hpp"
 #include "monitor/scanner.hpp"
+#include "obs/metrics.hpp"
 #include "scenario/testbed.hpp"
 #include "tv/channels.hpp"
 #include "util/table.hpp"
@@ -132,8 +133,11 @@ int main() {
                "map averages in siting-attenuated readings and under-reports\n"
                "the true field strength.\n";
 
-  const auto plan_stats = dsp::PlanCache::shared().stats();
-  std::cout << "\nFFT plan cache: " << plan_stats.plans << " plans built once, "
-            << plan_stats.hits << " reuses across the four nodes' sweeps.\n";
+  auto& registry = obs::Registry::global();
+  std::cout << "\nFFT plan cache: "
+            << registry.gauge("speccal_dsp_plan_cache_entries").value()
+            << " plans built once, "
+            << registry.counter("speccal_dsp_plan_cache_hits_total").value()
+            << " reuses across the four nodes' sweeps.\n";
   return 0;
 }

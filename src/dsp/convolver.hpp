@@ -24,9 +24,9 @@ namespace speccal::dsp {
 /// Equivalence contract against FirFilter (double-accumulation direct
 /// convolution): for inputs with RMS amplitude <= 1 and unity-gain-scale
 /// taps, every output sample of FftConvolver is within this absolute
-/// distance of the direct result. Enforced by tests/test_convolver.cpp and
-/// the bench/capture_path self-check; see DESIGN.md "Capture-path
-/// performance" for the derivation.
+/// distance of the direct result. Enforced by tests/test_convolver.cpp in
+/// every ctest leg (default, forced-scalar, sanitizers); see DESIGN.md
+/// "Capture-path performance" for the derivation.
 inline constexpr float kConvolverEquivalenceTolerance = 1e-4f;
 
 /// Crossover heuristic: true when overlap-save FFT convolution is expected

@@ -110,11 +110,7 @@ struct PlanCache::Impl {
   mutable std::mutex mutex;
   std::unordered_map<std::size_t, std::shared_ptr<const FftPlan>> f32;
   std::unordered_map<std::size_t, std::shared_ptr<const FftPlanD>> f64;
-  std::size_t hits = 0;
-  std::size_t misses = 0;
-  // Registry-backed twins of the counters above (DESIGN.md §10). The local
-  // fields feed the deprecated stats() snapshot; these feed the fleet-wide
-  // exposition endpoints.
+  // Lookup counters in the process-wide registry (DESIGN.md §10).
   obs::Counter& hits_metric =
       obs::Registry::global().counter("speccal_dsp_plan_cache_hits_total");
   obs::Counter& misses_metric =
@@ -137,12 +133,10 @@ PlanCache& PlanCache::shared() {
 namespace {
 template <typename Plan, typename Map>
 std::shared_ptr<const Plan> get_or_build(Map& map, std::size_t n,
-                                         std::size_t& hits, std::size_t& misses,
                                          obs::Counter& hits_metric,
                                          obs::Counter& misses_metric) {
   auto it = map.find(n);
   if (it != map.end()) {
-    ++hits;
     hits_metric.add();
     return it->second;
   }
@@ -150,7 +144,6 @@ std::shared_ptr<const Plan> get_or_build(Map& map, std::size_t n,
   // cost is paid once per (size, process), so contention is a non-issue.
   auto plan = std::make_shared<const Plan>(n);
   map.emplace(n, plan);
-  ++misses;
   misses_metric.add();
   return plan;
 }
@@ -158,31 +151,24 @@ std::shared_ptr<const Plan> get_or_build(Map& map, std::size_t n,
 
 std::shared_ptr<const FftPlan> PlanCache::plan_f32(std::size_t n) {
   std::lock_guard lock(impl_->mutex);
-  auto plan = get_or_build<FftPlan>(impl_->f32, n, impl_->hits, impl_->misses,
-                                    impl_->hits_metric, impl_->misses_metric);
+  auto plan = get_or_build<FftPlan>(impl_->f32, n, impl_->hits_metric,
+                                    impl_->misses_metric);
   impl_->publish_locked();
   return plan;
 }
 
 std::shared_ptr<const FftPlanD> PlanCache::plan_f64(std::size_t n) {
   std::lock_guard lock(impl_->mutex);
-  auto plan = get_or_build<FftPlanD>(impl_->f64, n, impl_->hits, impl_->misses,
-                                     impl_->hits_metric, impl_->misses_metric);
+  auto plan = get_or_build<FftPlanD>(impl_->f64, n, impl_->hits_metric,
+                                     impl_->misses_metric);
   impl_->publish_locked();
   return plan;
-}
-
-PlanCache::Stats PlanCache::stats() const {
-  std::lock_guard lock(impl_->mutex);
-  return {impl_->hits, impl_->misses, impl_->f32.size() + impl_->f64.size()};
 }
 
 void PlanCache::clear() {
   std::lock_guard lock(impl_->mutex);
   impl_->f32.clear();
   impl_->f64.clear();
-  impl_->hits = 0;
-  impl_->misses = 0;
   // Registry counters are monotonic by contract and deliberately survive a
   // clear(); only the entries gauge tracks the emptied cache.
   impl_->publish_locked();
@@ -264,8 +250,8 @@ void SpectrumEstimator::estimate(std::span<const std::complex<float>> block,
 
   plan_->forward(work);
 
-  // Same normalization as the legacy free function: coherent-gain-corrected
-  // power per bin, full-scale tone ~ 1.0 regardless of window.
+  // Coherent-gain-corrected power per bin: a full-scale tone reads ~1.0
+  // regardless of window.
   const double scale = 1.0 / (window_power * static_cast<double>(block.size()));
   simd::power_scaled(work.data(), scale, out.data(), n);
 }

@@ -8,9 +8,8 @@
 // loops: build a plan once per transform size, execute it many times.
 // Transforms are float-native on the capture path — I/Q blocks are
 // windowed and transformed as complex<float>, and only per-bin powers
-// accumulate in double — which halves the memory traffic of the legacy
-// double-widening free functions in fft.hpp (kept as shims; see DESIGN.md
-// for the deprecation policy).
+// accumulate in double — which halves the memory traffic of a
+// transform that widens every sample to complex<double>.
 #pragma once
 
 #include <complex>
@@ -71,7 +70,7 @@ extern template class BasicFftPlan<double>;
 /// The float-native plan used on capture hot paths.
 using FftPlan = BasicFftPlan<float>;
 /// Double-precision plan for setup/verification paths (PSS synthesis,
-/// reference checks, the legacy double shims).
+/// filter tap spectra, reference checks).
 using FftPlanD = BasicFftPlan<double>;
 
 /// Thread-safe cache of immutable plans keyed by transform size. Fleet
@@ -79,7 +78,9 @@ using FftPlanD = BasicFftPlan<double>;
 /// (TV sweep, Welch segments, pilot search), so the twiddle tables are
 /// built once per process instead of once per node. Returned plans are
 /// shared_ptr<const>: safe to hold across clear() and to execute
-/// concurrently.
+/// concurrently. Lookups publish speccal_dsp_plan_cache_{hits,misses}_total
+/// and the speccal_dsp_plan_cache_entries gauge into
+/// obs::Registry::global().
 class PlanCache {
  public:
   /// The process-wide instance.
@@ -89,25 +90,9 @@ class PlanCache {
   [[nodiscard]] std::shared_ptr<const FftPlan> plan_f32(std::size_t n);
   [[nodiscard]] std::shared_ptr<const FftPlanD> plan_f64(std::size_t n);
 
-  struct Stats {
-    std::size_t hits = 0;
-    std::size_t misses = 0;
-    std::size_t plans = 0;  // currently cached (both precisions)
-  };
-  /// One atomically-consistent snapshot: all three fields are read under
-  /// the same lock that every plan_* call takes, so hits + misses always
-  /// equals the number of lookups and `plans` can never lag a concurrent
-  /// build.
-  ///
-  /// Deprecated (DESIGN.md §10 deprecation policy): the cache also
-  /// publishes speccal_dsp_plan_cache_{hits,misses}_total and
-  /// speccal_dsp_plan_cache_entries into obs::Registry::global(); new code
-  /// should read those — they aggregate across every consumer and export
-  /// through the standard exposition endpoints. This accessor remains for
-  /// in-process tests that need the locked snapshot.
-  [[nodiscard]] Stats stats() const;
-
-  /// Drop cached plans (outstanding shared_ptrs stay valid) and reset stats.
+  /// Drop cached plans (outstanding shared_ptrs stay valid). The entries
+  /// gauge drops to 0; the hit and miss counters are monotonic and keep
+  /// their totals.
   void clear();
 
  private:
@@ -137,9 +122,8 @@ class ScratchArena {
   std::vector<double> r64_;
 };
 
-/// Plan-based windowed power spectrum |X[k]|^2, full scale = 1.0 — the
-/// engine behind the legacy power_spectrum() free function. Holds a cached
-/// plan, a float-native copy of the window and a scratch arena, so
+/// Plan-based windowed power spectrum |X[k]|^2, full scale = 1.0. Holds a
+/// cached plan, a float-native copy of the window and a scratch arena, so
 /// estimate() into a reused output vector allocates nothing in the steady
 /// state.
 class SpectrumEstimator {
@@ -154,8 +138,8 @@ class SpectrumEstimator {
 
   /// Windowed power spectrum of `block` (block.size() <= fft_size; the
   /// tail is zero-padded; window entries beyond the window length count
-  /// as 1.0, matching the legacy free function). `out` is resized to
-  /// fft_size. Throws std::invalid_argument if the block is too long.
+  /// as 1.0). `out` is resized to fft_size. Throws std::invalid_argument if
+  /// the block is too long.
   void estimate(std::span<const std::complex<float>> block,
                 std::vector<double>& out);
 

@@ -40,9 +40,21 @@ TEST(FftConvolver, MatchesFirFilterWithinDocumentedTolerance) {
   // The contract from convolver.hpp: unit-RMS input, per-sample error
   // within kConvolverEquivalenceTolerance of the double-accumulation
   // direct convolution.
-  for (const std::size_t taps_count : {127u, 33u}) {
-    const auto taps = d::design_bandpass(8e6, -2.0e6, 2.4e6, taps_count);
-    const auto in = noise(8192, 7);
+  struct Case {
+    std::size_t taps;
+    double low_hz, high_hz;
+    std::size_t samples;
+    std::uint64_t seed;
+  };
+  const Case cases[] = {
+      {127, -2.0e6, 2.4e6, 8192, 7},
+      {33, -2.0e6, 2.4e6, 8192, 7},
+      // The TV channel shaper on one 65536-sample capture block.
+      {127, -2.69e6, 2.69e6, 65536, 101},
+  };
+  for (const Case& c : cases) {
+    const auto taps = d::design_bandpass(8e6, c.low_hz, c.high_hz, c.taps);
+    const auto in = noise(c.samples, c.seed);
 
     d::FirFilter direct(taps);
     std::vector<std::complex<float>> want(in.size());
@@ -52,7 +64,7 @@ TEST(FftConvolver, MatchesFirFilterWithinDocumentedTolerance) {
     const auto got = conv.filter(in);
 
     EXPECT_LE(max_abs_error(want, got), d::kConvolverEquivalenceTolerance)
-        << "taps=" << taps_count;
+        << "taps=" << c.taps << " samples=" << c.samples;
   }
 }
 

@@ -12,12 +12,25 @@
 #include "dsp/fft.hpp"
 #include "dsp/plan.hpp"
 #include "dsp/welch.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace d = speccal::dsp;
 using speccal::util::Rng;
 
 namespace {
+
+/// The cache's registry series (DESIGN.md §10). Counters are process-wide
+/// and monotonic, so tests assert deltas.
+speccal::obs::Counter& cache_hits() {
+  return speccal::obs::Registry::global().counter("speccal_dsp_plan_cache_hits_total");
+}
+speccal::obs::Counter& cache_misses() {
+  return speccal::obs::Registry::global().counter("speccal_dsp_plan_cache_misses_total");
+}
+double cache_entries() {
+  return speccal::obs::Registry::global().gauge("speccal_dsp_plan_cache_entries").value();
+}
 
 /// Brute-force DFT reference.
 template <typename Real>
@@ -121,24 +134,29 @@ TEST(FftPlan, SizeOneAndValidation) {
 TEST(PlanCache, SharesPlansAndCountsHits) {
   auto& cache = d::PlanCache::shared();
   cache.clear();
+  EXPECT_EQ(cache_entries(), 0.0);
+  const std::uint64_t hits0 = cache_hits().value();
+  const std::uint64_t misses0 = cache_misses().value();
   const auto a = cache.plan_f32(2048);
   const auto b = cache.plan_f32(2048);
   EXPECT_EQ(a.get(), b.get());  // same immutable plan, shared
   const auto c = cache.plan_f64(2048);  // distinct precision, distinct plan
   EXPECT_EQ(c->size(), 2048u);
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.misses, 2u);
-  EXPECT_GE(stats.hits, 1u);
-  EXPECT_EQ(stats.plans, 2u);
+  EXPECT_EQ(cache_misses().value() - misses0, 2u);
+  EXPECT_EQ(cache_hits().value() - hits0, 1u);
+  EXPECT_EQ(cache_entries(), 2.0);
 
   cache.clear();
-  EXPECT_EQ(cache.stats().plans, 0u);
+  EXPECT_EQ(cache_entries(), 0.0);
+  EXPECT_EQ(cache_misses().value() - misses0, 2u);  // monotonic across clear()
   EXPECT_EQ(a->size(), 2048u);  // outstanding handles survive clear()
 }
 
 TEST(PlanCache, ConcurrentLookupsYieldOnePlan) {
   auto& cache = d::PlanCache::shared();
   cache.clear();
+  const std::uint64_t hits0 = cache_hits().value();
+  const std::uint64_t misses0 = cache_misses().value();
   constexpr int kThreads = 8;
   std::vector<std::shared_ptr<const d::FftPlan>> got(kThreads);
   {
@@ -150,7 +168,10 @@ TEST(PlanCache, ConcurrentLookupsYieldOnePlan) {
   }
   for (int t = 1; t < kThreads; ++t)
     EXPECT_EQ(got[0].get(), got[static_cast<std::size_t>(t)].get());
-  EXPECT_EQ(cache.stats().misses, 1u);
+  // Every lookup is counted exactly once under the cache lock.
+  EXPECT_EQ(cache_misses().value() - misses0, 1u);
+  EXPECT_EQ(cache_hits().value() - hits0, kThreads * 50 - 1u);
+  EXPECT_EQ(cache_entries(), 1.0);
 }
 
 // ----------------------------------------------------------------- arena ----

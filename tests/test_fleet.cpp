@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstring>
 #include <sstream>
 #include <thread>
 
@@ -78,6 +77,7 @@ class UntunableDevice final : public sdr::Device {
 TEST(Fleet, ParallelMatchesSerialBitwise) {
   const auto world = sc::make_world(kSeed);
 
+  // Each node's deterministic report JSON (timings excluded).
   auto run_with = [&](unsigned threads) {
     cal::RunConfig run;
     run.pipeline = fast_config();
@@ -87,19 +87,25 @@ TEST(Fleet, ParallelMatchesSerialBitwise) {
     const auto summary = calibrator.run(seeded_fleet(world, 9), registry);
     EXPECT_EQ(summary.calibrated, 9u);
     EXPECT_EQ(summary.failed, 0u);
-    std::vector<double> scores;
+    std::vector<std::string> reports;
     registry.for_each_report([&](const cal::CalibrationReport& r) {
-      scores.push_back(r.trust.score);
+      std::ostringstream os;
+      r.write_json(os, /*include_stage_metrics=*/false);
+      reports.push_back(os.str());
     });
-    return scores;
+    return reports;
   };
 
   const auto serial = run_with(1);
-  const auto parallel = run_with(4);
-  ASSERT_EQ(serial.size(), parallel.size());
-  // Bitwise, not approximate: same seeds, same devices, no shared state.
-  EXPECT_EQ(0, std::memcmp(serial.data(), parallel.data(),
-                           serial.size() * sizeof(double)));
+  ASSERT_EQ(serial.size(), 9u);
+  // Byte for byte, not approximate: same seeds, same devices, no shared
+  // state. 8 threads is the oversubscribed case on small hosts.
+  for (const unsigned threads : {2u, 4u, 8u}) {
+    const auto parallel = run_with(threads);
+    ASSERT_EQ(serial.size(), parallel.size()) << threads << " threads";
+    for (std::size_t i = 0; i < serial.size(); ++i)
+      EXPECT_EQ(serial[i], parallel[i]) << threads << " threads, report " << i;
+  }
 }
 
 TEST(Fleet, BrokenNodeIsIsolatedNotFatal) {
