@@ -2,14 +2,16 @@
 //
 // Reproduces the paper's bar chart: received signal strength (dBFS) of six
 // ATSC channels (213/473/521/545/587/605 MHz) measured at the three sites
-// through the full waveform pipeline — fixed-gain SDR capture, band-pass
-// FIR, magnitude-squared through a long moving average (Parseval), exactly
-// the paper's GNU Radio flowgraph.
+// through the full waveform pipeline — fixed-gain SDR capture, Welch PSD,
+// power summed over the 5.38 MHz channel band: Parseval's identity in the
+// frequency domain, where the paper's GNU Radio flowgraph applies it in the
+// time domain (band-pass filter, |x|^2, long moving average).
 //
 // Shape to match: the rooftop is strongest nearly everywhere; the window
 // and indoor sites are attenuated but still usable below 600 MHz; the
 // exception is 521 MHz, where the tower sits in the window's field of view
 // and the behind-window reading matches the rooftop (the paper's anomaly).
+// Exits 1 when any shape check fails (a ctest entry runs it).
 #include <iostream>
 #include <map>
 #include <vector>
@@ -48,7 +50,7 @@ int main() {
         util::format_fixed(readings[scenario::Site::kIndoor][i].power_dbfs, 1),
     });
   }
-  table.set_title("Channel power via band-pass + Parseval moving average");
+  table.set_title("Channel power: Welch PSD summed over the channel (Parseval)");
   table.print(std::cout);
 
   for (auto site : {scenario::Site::kRooftop, scenario::Site::kWindow,
@@ -76,17 +78,15 @@ int main() {
   }
   const double anomaly_gap = std::abs(dbfs(scenario::Site::kWindow, 22) -
                                       dbfs(scenario::Site::kRooftop, 22));
+  const bool sub600 = dbfs(scenario::Site::kIndoor, 13) > -70.0 &&
+                      dbfs(scenario::Site::kWindow, 13) > -70.0;
   std::cout << "\nShape check vs paper (Fig. 4):\n"
             << "  rooftop strongest on non-anomaly channels : " << rooftop_best
             << "/5\n"
             << "  521 MHz anomaly (|window - rooftop|)      : "
             << util::format_fixed(anomaly_gap, 1)
             << " dB (paper: window ~= rooftop; tower in window FoV)\n"
-            << "  window/indoor still receive sub-600 MHz   : "
-            << ((dbfs(scenario::Site::kIndoor, 13) > -70.0 &&
-                 dbfs(scenario::Site::kWindow, 13) > -70.0)
-                    ? "YES"
-                    : "NO")
+            << "  window/indoor still receive sub-600 MHz   : " << (sub600 ? "YES" : "NO")
             << " (usable for sub-600 MHz monitoring)\n";
-  return 0;
+  return rooftop_best == 5 && anomaly_gap < 1.0 && sub600 ? 0 : 1;
 }

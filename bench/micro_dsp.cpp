@@ -123,22 +123,11 @@ void BM_FirFilter(benchmark::State& state) {
     filter.process(block, out);
     benchmark::DoNotOptimize(out.data());
   }
-  // Samples/s: the TV meter needs >= 8 Msps equivalent offline throughput.
+  // Samples/s of the direct path the emitter shaper takes on small blocks.
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(block.size()));
 }
 BENCHMARK(BM_FirFilter)->Arg(63)->Arg(129)->Arg(255);
-
-void BM_MovingAverage(benchmark::State& state) {
-  dsp::MovingAverage avg(100000);
-  double x = 0.123;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(avg.push(x));
-    x = x * 1.0000001;
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-}
-BENCHMARK(BM_MovingAverage);
 
 void BM_FirDesign(benchmark::State& state) {
   for (auto _ : state)
@@ -187,8 +176,9 @@ CompareRow time_variant(const std::string& variant, std::size_t n,
 
 /// The gated-detector comparison (schema v3), two current library paths on
 /// one vacant 20 ms TV channel at 8 Msps: integrate the whole capture with
-/// Welch vs probe the pilot with Goertzel and integrate the 10% prefix
-/// (exactly what tv::PowerMeter's gate does on a skip). CI's bench-smoke
+/// Welch (tv::PowerMeter's path on an occupied channel) vs probe the pilot
+/// with Goertzel and integrate the 10% prefix (exactly what the meter's
+/// gate does on a skip). CI's bench-smoke
 /// holds the speedup to >= 4x.
 int write_bench_json(const std::string& path, std::size_t compare_iters) {
   const std::string name = "tv_vacant_channel_power_160k";

@@ -40,14 +40,10 @@ int main(int argc, char** argv) {
   calib::PipelineConfig cfg;
   cfg.survey.duration_s = 15.0;
   cfg.survey.ground_truth_query_at_s = 7.5;
-  // TV power via the plan-based spectral path: Welch PSD + band integration,
-  // Parseval-equivalent to the paper's time-domain moving average, reusing
-  // the process-wide cached FFT plan for every channel.
-  cfg.tv_meter.method = tv::PowerMeterConfig::Method::kSpectral;
   calib::CalibrationPipeline pipeline(world, cfg);
 
   std::cout << "Running full site survey at '" << claims.node_id
-            << "' (TV power: plan-based Welch integration)...\n\n";
+            << "' (TV power: Welch PSD integrated over each channel)...\n\n";
   const auto report = pipeline.calibrate(*device, claims);
 
   // Per-source view: expectation vs measurement, the §3.2 core table.

@@ -119,39 +119,4 @@ double FirFilter::magnitude_at(double freq_hz, double sample_rate_hz) const noex
   return std::abs(acc);
 }
 
-MovingAverage::MovingAverage(std::size_t length) {
-  if (length == 0) throw std::invalid_argument("MovingAverage: zero length");
-  window_.assign(length, 0.0);
-}
-
-double MovingAverage::push(double value) noexcept {
-  sum_ -= window_[head_];
-  window_[head_] = value;
-  sum_ += value;
-  head_ = (head_ + 1) % window_.size();
-  if (count_ < window_.size()) ++count_;
-  // Re-sum exactly once per window length to cancel accumulated rounding.
-  if (++pushes_since_recompute_ >= window_.size() * 16) recompute();
-  return this->value();
-}
-
-double MovingAverage::value() const noexcept {
-  return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
-}
-
-void MovingAverage::reset() noexcept {
-  for (auto& v : window_) v = 0.0;
-  head_ = 0;
-  count_ = 0;
-  sum_ = 0.0;
-  pushes_since_recompute_ = 0;
-}
-
-void MovingAverage::recompute() noexcept {
-  double acc = 0.0;
-  for (double v : window_) acc += v;
-  sum_ = acc;
-  pushes_since_recompute_ = 0;
-}
-
 }  // namespace speccal::dsp

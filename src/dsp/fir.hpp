@@ -1,9 +1,8 @@
 // FIR filter design (windowed sinc) and streaming application.
 //
-// The TV power meter band-pass-filters one ATSC channel out of a wide
-// capture before integrating power (Parseval), exactly like the paper's
-// GNU Radio flowgraph. Filters are designed at runtime from the channel
-// edges, so the design code is part of the library proper.
+// The simulated emitters shape their synthesized spectrum with a band-pass
+// designed at runtime from the channel edges (sdr/emitter.cpp), so the
+// design code is part of the library proper.
 #pragma once
 
 #include <complex>
@@ -71,32 +70,6 @@ class FirFilter {
   std::vector<std::complex<double>> rev_taps_;  // reversed, for the dot kernel
   std::vector<std::complex<double>> delay_;     // doubled circular history (2n)
   std::size_t pos_ = 0;                         // write slot in [0, n)
-};
-
-/// Running mean over a fixed-length rectangular window ("very long moving
-/// average filter" from the paper, applied to |x|^2). Uses a double
-/// accumulator plus periodic exact recomputation to bound float drift.
-class MovingAverage {
- public:
-  explicit MovingAverage(std::size_t length);
-
-  /// Push one value, returns the current mean over the last `length`
-  /// values (partial mean until the window has filled).
-  double push(double value) noexcept;
-
-  [[nodiscard]] double value() const noexcept;
-  [[nodiscard]] bool full() const noexcept { return count_ >= window_.size(); }
-  [[nodiscard]] std::size_t length() const noexcept { return window_.size(); }
-  void reset() noexcept;
-
- private:
-  void recompute() noexcept;
-
-  std::vector<double> window_;
-  std::size_t head_ = 0;
-  std::size_t count_ = 0;
-  std::size_t pushes_since_recompute_ = 0;
-  double sum_ = 0.0;
 };
 
 }  // namespace speccal::dsp

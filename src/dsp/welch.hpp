@@ -52,6 +52,8 @@ class WelchEstimator {
   explicit WelchEstimator(WelchConfig config = {});
 
   [[nodiscard]] const WelchConfig& config() const noexcept { return config_; }
+  /// Start-to-start distance of consecutive segments, in samples.
+  [[nodiscard]] std::size_t hop() const noexcept { return hop_; }
 
   /// Estimate the PSD of an I/Q block. Returns an empty result (psd empty,
   /// bin_width set) when the block is shorter than one segment.

@@ -13,8 +13,12 @@ namespace speccal::tv {
 
 namespace {
 
-/// Floor on gate/skip prefix lengths so abbreviated readings stay well past
-/// the FIR warm-up and hold at least a few Welch segments.
+/// The meter's Welch settings: 1024-point Hann segments at 50% overlap
+/// (7.8 kHz bins at 8 Msps, against a 5.38 MHz band).
+constexpr dsp::WelchConfig kWelch{};
+
+/// Floor on gate/skip prefix lengths so abbreviated readings still average
+/// several Welch segments (4096 samples hold seven).
 constexpr std::size_t kMinPrefixSamples = 4096;
 
 [[nodiscard]] std::size_t prefix_length(std::size_t total, double fraction) noexcept {
@@ -27,13 +31,12 @@ PowerMeterConfig validated(PowerMeterConfig config) {
     throw std::invalid_argument(
         "PowerMeterConfig.sample_rate_hz must be positive (got " +
         std::to_string(config.sample_rate_hz) + ")");
-  if (!(config.capture_duration_s > 0.0))
+  if (!(config.capture_duration_s * config.sample_rate_hz >=
+        static_cast<double>(kWelch.segment_size)))
     throw std::invalid_argument(
-        "PowerMeterConfig.capture_duration_s must be positive (got " +
+        "PowerMeterConfig.capture_duration_s must hold one " +
+        std::to_string(kWelch.segment_size) + "-sample Welch segment at sample_rate_hz (got " +
         std::to_string(config.capture_duration_s) + ")");
-  if (config.filter_taps < 3)
-    throw std::invalid_argument("PowerMeterConfig.filter_taps must be >= 3 (got " +
-                                std::to_string(config.filter_taps) + ")");
   if (!(config.measure_bandwidth_hz > 0.0) ||
       config.measure_bandwidth_hz >= config.sample_rate_hz)
     throw std::invalid_argument(
@@ -62,12 +65,7 @@ PowerMeterConfig validated(PowerMeterConfig config) {
 
 PowerMeter::PowerMeter(PowerMeterConfig config)
     : config_(validated(config)),
-      // Designed once per meter; a sweep re-uses the taps for every channel.
-      filter_(dsp::design_bandpass(config_.sample_rate_hz,
-                                   -config_.measure_bandwidth_hz / 2.0,
-                                   config_.measure_bandwidth_hz / 2.0,
-                                   config_.filter_taps)),
-      welch_(config_.welch),
+      welch_(kWelch),
       // Pilot bin plus one reference bin either side; offsets are relative
       // to the tuned center, so one probe serves every channel.
       pilot_probe_({config_.pilot_gate.pilot_offset_hz,
@@ -107,29 +105,13 @@ bool PowerMeter::pilot_present(std::span<const dsp::Sample> capture) const {
                       std::max(floor, 1e-30);
 }
 
-double PowerMeter::integrate_time_domain(std::span<const dsp::Sample> capture,
-                                         std::size_t& samples_used) const {
-  filter_.reset();
-  filtered_.clear();
-  filter_.process(capture, filtered_);
-
-  // |x|^2 through a long moving average (Parseval: time-domain power equals
-  // the in-band spectral power after the band-pass).
-  const std::size_t warmup = config_.filter_taps;
-  if (filtered_.size() <= warmup) return 0.0;
-  dsp::MovingAverage avg(filtered_.size() - warmup);
-  double mean = 0.0;
-  for (std::size_t i = warmup; i < filtered_.size(); ++i)
-    mean = avg.push(static_cast<double>(std::norm(filtered_[i])));
-  samples_used = filtered_.size() - warmup;
-  return mean;
-}
-
 double PowerMeter::integrate_spectral(std::span<const dsp::Sample> capture,
                                       std::size_t& samples_used) const {
+  // Parseval in the frequency domain: the PSD bins sum to the mean power,
+  // so the bins inside the band sum to the in-band power.
   welch_.estimate_into(capture, config_.sample_rate_hz, psd_);
   if (psd_.segments_averaged == 0) return 0.0;
-  samples_used = psd_.segments_averaged * welch_.config().segment_size;
+  samples_used = (psd_.segments_averaged - 1) * welch_.hop() + kWelch.segment_size;
   return dsp::band_power(psd_, config_.sample_rate_hz,
                          -config_.measure_bandwidth_hz / 2.0,
                          config_.measure_bandwidth_hz / 2.0);
@@ -173,10 +155,7 @@ ChannelPowerReading PowerMeter::measure_channel(sdr::Device& device,
     }
   }
 
-  const double mean =
-      config_.method == PowerMeterConfig::Method::kSpectral
-          ? integrate_spectral(block, out.samples_used)
-          : integrate_time_domain(block, out.samples_used);
+  const double mean = integrate_spectral(block, out.samples_used);
   if (out.samples_used == 0) return out;
 
   out.power_dbfs = mean > 1e-20 ? 10.0 * std::log10(mean) : -200.0;

@@ -1,22 +1,19 @@
-// Broadcast-TV channel power meter — the paper's GNU Radio measurement.
+// Broadcast-TV channel power meter — the paper's channel-power measurement.
 //
-// Pipeline (quoting §3.2): fixed SDR gain (no AGC), band-pass filter the
-// desired ATSC channel, then "apply Parseval's identity" by running the
-// magnitude-squared time-domain samples through a very long moving-average
-// filter. The result is reported in dBFS, as in Figure 4.
+// Pipeline (quoting §3.2): fixed SDR gain (no AGC), then "apply Parseval's
+// identity" over the desired ATSC channel. The meter applies it in the
+// frequency domain: a plan-cached Welch PSD of the capture, integrated over
+// the measurement bandwidth, is the in-band power the paper's GNU Radio
+// band-pass + moving-average flowgraph computes in the time domain
+// (DESIGN.md §2). The result is reported in dBFS, as in Figure 4.
 //
-// The meter is plan-based: the band-pass FIR is designed once at
-// construction and the filter/scratch buffers are reused across
-// measurements, so a sweep's steady state performs no per-channel design
-// work. A second integration method (Method::kSpectral) computes the same
-// in-band power from a plan-cached Welch PSD — Parseval's identity makes
-// the two agree, and the spectral path shares its FFT plan with every
-// other measurement in the process.
+// The meter is plan-based: the FFT plan comes from the shared PlanCache and
+// the PSD buffer is reused across measurements, so a sweep's steady state
+// performs no per-channel design work.
 #pragma once
 
 #include <vector>
 
-#include "dsp/fir.hpp"
 #include "dsp/goertzel.hpp"
 #include "dsp/welch.hpp"
 #include "sdr/device.hpp"
@@ -48,11 +45,10 @@ struct PilotGateConfig {
 /// Validation contract (enforced by PowerMeter's constructor; violations
 /// throw std::invalid_argument naming the offending parameter):
 ///   - sample_rate_hz must be positive;
-///   - capture_duration_s must be positive;
-///   - filter_taps must be >= 3 (the FIR design needs a real prototype);
+///   - capture_duration_s * sample_rate_hz must reach one 1024-sample
+///     Welch segment (a shorter capture has nothing to integrate);
 ///   - measure_bandwidth_hz must be positive and smaller than
-///     sample_rate_hz (the band-pass must fit inside Nyquist);
-///   - welch (used by Method::kSpectral) follows the WelchConfig contract;
+///     sample_rate_hz (the band must fit inside Nyquist);
 ///   - pilot_gate.gate_fraction / skip_fraction must be in (0, 1];
 ///   - pilot_gate.ref_spacing_hz must be positive and the pilot/reference
 ///     bins must fit inside Nyquist.
@@ -62,27 +58,11 @@ struct PowerMeterConfig {
                                    // Low enough that strong locals don't clip,
                                    // high enough that weak channels stay above
                                    // the ADC quantization floor.
-  std::size_t filter_taps = 129;
-  /// Capture length [s]; the moving average spans the whole capture minus
-  /// the filter warm-up.
+  /// Capture length [s]; the Welch average spans the whole capture.
   double capture_duration_s = 0.02;
-  /// Pass-band width measured inside the channel (8VSB occupies ~5.38 MHz).
+  /// Width of the band integrated around the channel center (8VSB occupies
+  /// ~5.38 MHz).
   double measure_bandwidth_hz = 5.38e6;
-
-  /// How the in-band power is integrated.
-  enum class Method {
-    /// Band-pass FIR + |x|^2 + long moving average — the paper's GNU Radio
-    /// pipeline and the default.
-    kTimeDomain,
-    /// Plan-based Welch PSD + band integration over the measurement
-    /// bandwidth. Parseval's identity makes this agree with kTimeDomain;
-    /// it reuses the shared FFT plan and is the natural choice when a
-    /// node also reports PSDs.
-    kSpectral,
-  };
-  Method method = Method::kTimeDomain;
-  /// Welch settings for Method::kSpectral.
-  dsp::WelchConfig welch;
   /// Pilot presence fast-path (see PilotGateConfig).
   PilotGateConfig pilot_gate;
 };
@@ -93,29 +73,30 @@ struct ChannelPowerReading {
   double power_dbfs = -200.0;   // what Figure 4 plots
   double power_dbm = -200.0;    // referred to the antenna port via gain
   bool tune_ok = false;
+  /// Capture samples the averaged Welch segments cover (each counted once).
   std::size_t samples_used = 0;
   /// True when the pilot gate found no pilot and the reading was integrated
   /// over the abbreviated capture prefix.
   bool gated = false;
-  /// Normalized lag-1 autocorrelation of the raw (pre-filter) capture —
-  /// the anomaly detector's occupancy cross-check (~0.4 for ATSC, ~1 for a
-  /// CW interferer parked in the channel, ~0 for noise or a jammer wider
-  /// than the capture). In-memory only: report JSON serializes the same
+  /// Normalized lag-1 autocorrelation of the raw capture — the anomaly
+  /// detector's occupancy cross-check (~0.4 for ATSC, ~1 for a CW
+  /// interferer parked in the channel, ~0 for noise or a jammer wider than
+  /// the capture). In-memory only: report JSON serializes the same
   /// channel/freq/power triple as always, so clean runs stay byte-stable.
   double autocorr_rho = 0.0;
 };
 
 /// Measures one or more ATSC channels through a Device (simulated or real).
-/// Filter state and scratch are reused across measurements, so a single
-/// instance must not measure concurrently from multiple threads; the
-/// fleet engine gives each worker its own meter.
+/// PSD scratch is reused across measurements, so a single instance must not
+/// measure concurrently from multiple threads; the fleet engine gives each
+/// worker its own meter.
 class PowerMeter {
  public:
-  /// Validates the config (see PowerMeterConfig) and designs the band-pass
-  /// filter once. Throws std::invalid_argument on contract violations.
+  /// Validates the config (see PowerMeterConfig). Throws
+  /// std::invalid_argument on contract violations.
   explicit PowerMeter(PowerMeterConfig config = {});
 
-  /// Tune, capture, filter, integrate. The device is left in manual gain.
+  /// Tune, capture, integrate. The device is left in manual gain.
   [[nodiscard]] ChannelPowerReading measure_channel(sdr::Device& device, int rf_channel) const;
 
   /// Sweep a list of channels.
@@ -125,8 +106,6 @@ class PowerMeter {
   [[nodiscard]] const PowerMeterConfig& config() const noexcept { return config_; }
 
  private:
-  [[nodiscard]] double integrate_time_domain(std::span<const dsp::Sample> capture,
-                                             std::size_t& samples_used) const;
   [[nodiscard]] double integrate_spectral(std::span<const dsp::Sample> capture,
                                           std::size_t& samples_used) const;
   [[nodiscard]] bool pilot_present(std::span<const dsp::Sample> capture) const;
@@ -134,8 +113,6 @@ class PowerMeter {
   PowerMeterConfig config_;
   // Per-measurement scratch (reset/reused each call); mutable so the
   // measurement API stays const like every other read-only evaluator.
-  mutable dsp::FirFilter filter_;
-  mutable dsp::Buffer filtered_;
   mutable dsp::WelchEstimator welch_;
   mutable dsp::WelchResult psd_;
   mutable dsp::Goertzel pilot_probe_;

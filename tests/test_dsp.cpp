@@ -1,4 +1,4 @@
-// Unit tests: DSP primitives (FFT, windows, FIR, moving average, NCO, PRBS).
+// Unit tests: DSP primitives (FFT, windows, FIR, NCO, PRBS).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -202,34 +202,6 @@ TEST(Fir, ResetClearsState) {
   const auto second = f.filter(ones);
   for (std::size_t i = 0; i < first.size(); ++i)
     EXPECT_NEAR(first[i].real(), second[i].real(), 1e-9);
-}
-
-// ------------------------------------------------------- moving average ----
-
-TEST(MovingAverage, ExactOverWindow) {
-  d::MovingAverage avg(4);
-  EXPECT_DOUBLE_EQ(avg.push(1.0), 1.0);       // partial means while filling
-  EXPECT_DOUBLE_EQ(avg.push(2.0), 1.5);
-  EXPECT_DOUBLE_EQ(avg.push(3.0), 2.0);
-  EXPECT_DOUBLE_EQ(avg.push(4.0), 2.5);
-  EXPECT_TRUE(avg.full());
-  EXPECT_DOUBLE_EQ(avg.push(5.0), 3.5);       // window is now {2,3,4,5}
-}
-
-TEST(MovingAverage, LongRunNoDrift) {
-  d::MovingAverage avg(1000);
-  double last = 0.0;
-  for (int i = 0; i < 100000; ++i) last = avg.push(0.125);
-  EXPECT_NEAR(last, 0.125, 1e-12);
-}
-
-TEST(MovingAverage, RejectsZeroLengthAndResets) {
-  EXPECT_THROW(d::MovingAverage(0), std::invalid_argument);
-  d::MovingAverage avg(3);
-  (void)avg.push(9.0);
-  avg.reset();
-  EXPECT_DOUBLE_EQ(avg.value(), 0.0);
-  EXPECT_FALSE(avg.full());
 }
 
 // ------------------------------------------------------------------ nco ----
