@@ -15,6 +15,12 @@ namespace speccal::dsp {
 using Sample = std::complex<float>;
 using Buffer = std::vector<Sample>;
 
+/// A block's I/Q components as 2n interleaved floats (re0, im0, re1, ...);
+/// std::complex<float> is array-compatible with float[2].
+[[nodiscard]] inline std::span<float> as_floats(std::span<Sample> block) noexcept {
+  return {reinterpret_cast<float*>(block.data()), 2 * block.size()};
+}
+
 /// Mean power (|x|^2 average) of a sample block; 0 for an empty block.
 [[nodiscard]] inline double mean_power(std::span<const Sample> block) noexcept {
   if (block.empty()) return 0.0;

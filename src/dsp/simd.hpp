@@ -8,15 +8,17 @@
 //
 // Numerical contract, per kernel:
 //   * Elementwise kernels (magnitude_squared, apply_window, accumulate_power,
-//     power_scaled, cmul_inplace, fft_radix2_stage, preamble_candidates) do
-//     the same IEEE float ops per element as the scalar sibling — results are
-//     bit-identical on every backend (no FMA contraction is used).
+//     power_scaled, cmul_inplace, fft_radix2_stage, preamble_candidates,
+//     scale_quantize) do the same IEEE float ops per element as the scalar
+//     sibling — results are bit-identical on every backend (no FMA
+//     contraction is used).
 //   * Reduction kernels (sum_power, cdot, dot_conj) split the accumulator
 //     across lanes, which reorders the additions. They are held to the
 //     documented equivalence tolerance kSimdEquivalenceTolerance (1e-4,
 //     relative); observed error is ~1e-6 or better (test_dsp_simd).
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <cstddef>
@@ -192,6 +194,31 @@ inline void preamble_candidates(const float* mag, std::size_t n_positions,
         std::max(std::max(mag[i + 1], mag[i + 3]), mag[i + 5]),
         std::max(std::max(mag[i + 11], mag[i + 13]), mag[i + 15]));
     out[i] = pulse_min > quiet_max ? 1 : 0;
+  }
+}
+
+/// The simulated ADC in one pass: x[i] = clamp(x[i] * scale, -1, 1)
+/// rounded to a multiple of 2^-(bits-1), ties away from zero, in float.
+/// Bitwise equal to the two-pass double form
+///   v = x * scale;  round(clamp(double(v), -1.0, 1.0) * L) / L,  L = 2^(bits-1)
+/// on every input: signed zeros (and the sign of values that round to zero)
+/// are kept, ±inf clip to ±1, NaN stays NaN and is never converted to an
+/// integer. Rounding is trunc-then-compare, which is exact: floor(a + 0.5f)
+/// would round the largest float below a half level up. Requires
+/// 1 <= bits <= 31, so the clipped |v| * L fits an int32.
+inline void scale_quantize(float* x, std::size_t n, float scale, int bits) noexcept {
+  const float levels = std::ldexp(1.0f, bits - 1);
+  const float step = 1.0f / levels;
+  for (std::size_t i = 0; i < n; ++i) {
+    const float v = x[i] * scale;
+    if (std::isnan(v)) {
+      x[i] = v;
+      continue;
+    }
+    const float a = std::min(std::fabs(v), 1.0f) * levels;
+    float t = static_cast<float>(static_cast<std::int32_t>(a));
+    if (a - t >= 0.5f) t += 1.0f;
+    x[i] = std::copysign(t * step, v);
   }
 }
 
@@ -503,6 +530,31 @@ inline void preamble_candidates(const float* mag, std::size_t n_positions,
   if (i < n_positions) scalar::preamble_candidates(mag + i, n_positions - i, out + i);
 }
 
+inline void scale_quantize(float* x, std::size_t n, float scale, int bits) noexcept {
+  // Lane recipe: a = min(|v|, 1) * L, where minps returns its second
+  // operand, 1, in a NaN lane; t = trunc(a) through the int32 conversion;
+  // t += (a - t >= 0.5); result = t / L with v's sign bit; NaN lanes are
+  // then restored from v. AVX2 builds run this SSE2 loop too.
+  const float levels = std::ldexp(1.0f, bits - 1);
+  const __m128 vscale = _mm_set1_ps(scale);
+  const __m128 vlevels = _mm_set1_ps(levels);
+  const __m128 vstep = _mm_set1_ps(1.0f / levels);
+  const __m128 one = _mm_set1_ps(1.0f);
+  const __m128 half = _mm_set1_ps(0.5f);
+  const __m128 sign = _mm_set1_ps(-0.0f);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m128 v = _mm_mul_ps(_mm_loadu_ps(x + i), vscale);
+    const __m128 a = _mm_mul_ps(_mm_min_ps(_mm_andnot_ps(sign, v), one), vlevels);
+    __m128 t = _mm_cvtepi32_ps(_mm_cvttps_epi32(a));
+    t = _mm_add_ps(t, _mm_and_ps(_mm_cmpge_ps(_mm_sub_ps(a, t), half), one));
+    const __m128 q = _mm_or_ps(_mm_mul_ps(t, vstep), _mm_and_ps(v, sign));
+    const __m128 nan = _mm_cmpunord_ps(v, v);
+    _mm_storeu_ps(x + i, _mm_or_ps(_mm_andnot_ps(nan, q), _mm_and_ps(nan, v)));
+  }
+  if (i < n) scalar::scale_quantize(x + i, n - i, scale, bits);
+}
+
 #elif !defined(SPECCAL_DISABLE_SIMD) && defined(__ARM_NEON)
 
 // NEON tier: the widest-impact elementwise kernels use vld2 deinterleaved
@@ -578,6 +630,10 @@ inline void preamble_candidates(const float* mag, std::size_t n_positions,
   scalar::preamble_candidates(mag, n_positions, out);
 }
 
+inline void scale_quantize(float* x, std::size_t n, float scale, int bits) noexcept {
+  scalar::scale_quantize(x, n, scale, bits);
+}
+
 #else  // forced scalar or unknown ISA
 
 inline void magnitude_squared(const std::complex<float>* in, float* out,
@@ -630,6 +686,10 @@ inline void fft_radix2_stage(float* data, std::size_t n, std::size_t len,
 inline void preamble_candidates(const float* mag, std::size_t n_positions,
                                 std::uint8_t* out) noexcept {
   scalar::preamble_candidates(mag, n_positions, out);
+}
+
+inline void scale_quantize(float* x, std::size_t n, float scale, int bits) noexcept {
+  scalar::scale_quantize(x, n, scale, bits);
 }
 
 #endif

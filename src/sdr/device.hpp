@@ -8,6 +8,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -45,6 +46,33 @@ struct DeviceInfo {
   /// which is exactly why the calibration has to detect it empirically.
   double frontend_loss_db = 0.0;
 };
+
+/// Tuner state after a tune() request. SimulatedSdr and ReplayDevice both
+/// take it from tune_outcome(), so a replayed pipeline makes the producer's
+/// decisions (replay == in-process).
+struct TuneOutcome {
+  bool accepted = false;        // the device reaches the request
+  double sample_rate_hz = 0.0;  // the rate the device runs at afterwards
+};
+
+/// A tune is accepted when the centre frequency lies in [min_freq_hz,
+/// max_freq_hz] and the rate in (0, max_sample_rate_hz]. A refused tune still
+/// adopts a positive, finite requested rate but otherwise keeps
+/// `current_rate_hz`: a zero rate would advance the stream clock by
+/// count / 0 = +inf on the next capture, and every later capture would be NaN.
+[[nodiscard]] inline TuneOutcome tune_outcome(const DeviceInfo& info,
+                                              double center_freq_hz,
+                                              double sample_rate_hz,
+                                              double current_rate_hz) noexcept {
+  TuneOutcome out;
+  out.accepted = center_freq_hz >= info.min_freq_hz &&
+                 center_freq_hz <= info.max_freq_hz && sample_rate_hz > 0.0 &&
+                 sample_rate_hz <= info.max_sample_rate_hz;
+  out.sample_rate_hz = std::isfinite(sample_rate_hz) && sample_rate_hz > 0.0
+                           ? sample_rate_hz
+                           : current_rate_hz;
+  return out;
+}
 
 /// Narrow capability interface for simulation-backed devices.
 ///

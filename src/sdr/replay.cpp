@@ -20,15 +20,14 @@ ReplayDevice::ReplayDevice(DeviceInfo info, geo::Geodetic position,
 }
 
 bool ReplayDevice::tune(double center_freq_hz, double sample_rate_hz) {
-  // Same acceptance rule as SimulatedSdr::tune, driven by the same
-  // DeviceInfo — a tune the producer's device refused is refused here too,
-  // so the replayed pipeline skips the same captures.
-  const bool ok = center_freq_hz >= info_.min_freq_hz &&
-                  center_freq_hz <= info_.max_freq_hz && sample_rate_hz > 0.0 &&
-                  sample_rate_hz <= info_.max_sample_rate_hz;
+  // Same rule as SimulatedSdr::tune, driven by the same DeviceInfo — a tune
+  // the producer's device refused is refused here too, so the replayed
+  // pipeline skips the same captures.
+  const TuneOutcome outcome =
+      tune_outcome(info_, center_freq_hz, sample_rate_hz, sample_rate_hz_);
   center_freq_hz_ = center_freq_hz;
-  sample_rate_hz_ = sample_rate_hz;
-  return ok;
+  sample_rate_hz_ = outcome.sample_rate_hz;
+  return outcome.accepted;
 }
 
 const CaptureRecord& ReplayDevice::expect(std::size_t count) {

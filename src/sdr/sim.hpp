@@ -5,7 +5,8 @@
 //      link-budget amplitude) in sqrt-milliwatt units,
 //   2. thermal noise (kTB * NF over the capture bandwidth) is added,
 //   3. gain (manual or AGC) maps antenna-port power to ADC full scale,
-//   4. the ADC quantizes and clips.
+//   4. the ADC quantizes and clips (3 and 4 run as one fused pass,
+//      dsp::simd::scale_quantize).
 // Sample amplitude convention: during accumulation 1.0 = sqrt(1 mW), so a
 // source received at P dBm renders with RMS amplitude 10^(P/20) relative to
 // 1 mW. After gain g dB, the recorded dBFS of a signal equals
@@ -47,6 +48,7 @@ class SignalSource {
 /// device: 70 MHz - 6 GHz, 61.44 Msps max, 12-bit ADC).
 class SimulatedSdr final : public Device, public SimControl {
  public:
+  /// Throws std::invalid_argument when info.adc_bits is outside [1, 31].
   SimulatedSdr(DeviceInfo info, RxEnvironment rx, util::Rng rng);
 
   /// Convenience: BladeRF-like defaults.
@@ -83,7 +85,6 @@ class SimulatedSdr final : public Device, public SimControl {
 
  private:
   void add_thermal_noise(std::span<dsp::Sample> buf);
-  void quantize(std::span<dsp::Sample> buf) noexcept;
 
   DeviceInfo info_;
   RxEnvironment rx_;

@@ -9,8 +9,12 @@
 // runs this same binary to prove the fallback path compiles and passes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <complex>
+#include <cstdint>
+#include <limits>
 #include <numbers>
 #include <random>
 #include <vector>
@@ -197,6 +201,105 @@ TEST(SimdKernels, PreambleCandidatesMatchScalarBitwise) {
     for (std::size_t i = 0; i < n_pos; ++i)
       ASSERT_EQ(got[i], want[i]) << "n_pos=" << n_pos << " i=" << i;
   }
+}
+
+// ------------------------------------------------- simulated ADC kernel ----
+
+namespace {
+
+/// The simulated ADC as the two passes scale_quantize replaced: a float
+/// gain, then a double clamp, round and divide.
+float two_pass_adc(float x, float scale, int bits) {
+  const float v = x * scale;
+  const double levels = std::ldexp(1.0, bits - 1);
+  const double clipped = std::clamp(static_cast<double>(v), -1.0, 1.0);
+  return static_cast<float>(std::round(clipped * levels) / levels);
+}
+
+std::uint32_t bits_of(float v) { return std::bit_cast<std::uint32_t>(v); }
+
+/// The dispatched kernel and its scalar twin agree bitwise on `in` (NaN
+/// included), and both agree bitwise with the two-pass form (where that
+/// form yields NaN, they yield NaN).
+void expect_adc_agreement(const std::vector<float>& in, float scale, int bits) {
+  std::vector<float> simd = in, twin = in;
+  d::simd::scale_quantize(simd.data(), simd.size(), scale, bits);
+  d::simd::scalar::scale_quantize(twin.data(), twin.size(), scale, bits);
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    const float want = two_pass_adc(in[i], scale, bits);
+    ASSERT_EQ(bits_of(simd[i]), bits_of(twin[i]))
+        << "x=" << in[i] << " scale=" << scale << " bits=" << bits << " i=" << i;
+    if (std::isnan(want)) {
+      ASSERT_TRUE(std::isnan(twin[i])) << "x=" << in[i];
+    } else {
+      ASSERT_EQ(bits_of(twin[i]), bits_of(want))
+          << "x=" << in[i] << " scale=" << scale << " bits=" << bits << ": got "
+          << twin[i] << ", two-pass " << want;
+    }
+  }
+}
+
+/// Signed zeros, infinities, NaN, denormals, the clip edges, and for a
+/// spread of levels k the exact tie (k + 1/2) / L with its two neighbours.
+/// The float just below a tie is where floor(a + 0.5f) rounds the wrong way.
+std::vector<float> adc_edge_inputs(int bits) {
+  using lim = std::numeric_limits<float>;
+  std::vector<float> v = {0.0f, -0.0f, lim::infinity(), -lim::infinity(),
+                          lim::quiet_NaN(), -lim::quiet_NaN(), lim::denorm_min(),
+                          -lim::denorm_min(), lim::min(), -lim::min(), lim::max(),
+                          -lim::max(), 1.0f, -1.0f};
+  for (const float edge : {1.0f, -1.0f}) {
+    v.push_back(std::nextafter(edge, 0.0f));
+    v.push_back(std::nextafter(edge, 2.0f * edge));
+  }
+  const float levels = std::ldexp(1.0f, bits - 1);
+  for (const float k : {0.0f, 1.0f, 2.0f, 3.0f, 7.0f, 100.0f, 1023.0f, 2046.0f, 2047.0f,
+                        65535.0f}) {
+    if (k >= levels) continue;
+    for (const float tie : {(k + 0.5f) / levels, -(k + 0.5f) / levels}) {
+      v.push_back(tie);
+      v.push_back(std::nextafter(tie, 0.0f));
+      v.push_back(std::nextafter(tie, 2.0f * tie));
+    }
+  }
+  return v;
+}
+
+}  // namespace
+
+TEST(SimdKernels, ScaleQuantizeMatchesTwoPassAdcOnEdgeInputs) {
+  for (const int bits : {1, 2, 8, 12, 16, 24, 25, 31}) {
+    const auto edges = adc_edge_inputs(bits);
+    // Every start offset puts each edge input in every vector lane and
+    // exercises the scalar tail.
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      const std::vector<float> in(edges.begin() + static_cast<std::ptrdiff_t>(offset),
+                                  edges.end());
+      expect_adc_agreement(in, 1.0f, bits);
+    }
+    // The gain itself can overflow to inf or land on a tie.
+    expect_adc_agreement(edges, 3.0e38f, bits);
+    expect_adc_agreement(edges, 0.5f, bits);
+  }
+}
+
+TEST(SimdKernels, ScaleQuantizeMatchesTwoPassAdcOnRandomInputs) {
+  // Gaussian inputs over the gains the simulator uses (mostly small, some
+  // clipping), then raw random bit patterns: every exponent, NaN payloads
+  // and infinities.
+  constexpr std::size_t kN = 1u << 20;
+  std::mt19937 gen(20);
+  std::normal_distribution<float> normal(0.0f, 1.0f);
+  std::vector<float> gaussian(kN);
+  for (auto& v : gaussian) v = normal(gen);
+  for (const float scale : {1e-3f, 0.05f, 0.7f, 3.0f})
+    expect_adc_agreement(gaussian, scale, 12);
+  std::vector<float> patterns(kN);
+  for (auto& v : patterns) v = std::bit_cast<float>(static_cast<std::uint32_t>(gen()));
+  for (const int bits : {12, 31}) expect_adc_agreement(patterns, 1.0f, bits);
+  for (const int bits : {1, 8, 16, 24})
+    expect_adc_agreement(std::vector<float>(gaussian.begin(), gaussian.begin() + 65536),
+                         0.25f, bits);
 }
 
 // ------------------------------------------------- streaming goertzel ----
