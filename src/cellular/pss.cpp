@@ -129,9 +129,7 @@ void CellSignalSource::render(const sdr::CaptureContext& ctx,
   const float noise_amp =
       static_cast<float>(std::sqrt(total_mw / 2.0));  // per component
 
-  for (auto& s : accum)
-    s += dsp::Sample(noise_amp * static_cast<float>(rng_.normal()),
-                     noise_amp * static_cast<float>(rng_.normal()));
+  rng_.add_normal(dsp::as_floats(accum), noise_amp);
 
   // PSS bursts every half frame, at this cell's frame phase.
   const int nid2 = static_cast<int>(cell_.pci % 3);

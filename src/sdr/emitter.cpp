@@ -61,8 +61,7 @@ void FixedEmitterSource::render(const CaptureContext& ctx,
   const std::size_t prime = shaper_taps_.size() - 1;
   const std::size_t total = n + prime;
   auto white = scratch_.white(total);
-  for (auto& s : white)
-    s = dsp::Sample(static_cast<float>(rng_.normal()), static_cast<float>(rng_.normal()));
+  rng_.fill_normal(dsp::as_floats(white), 1.0f);
   auto shaped = scratch_.shaped(total);
 
   // Crossover: block convolution wins for long filters on full capture

@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 
 namespace speccal::util {
 
@@ -40,11 +41,24 @@ class Rng {
   /// Uniform integer in [lo, hi] (inclusive). Requires lo <= hi.
   [[nodiscard]] std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) noexcept;
 
-  /// Standard normal via Box-Muller (cached second variate).
+  /// Standard normal via Box-Muller (cached second variate). For
+  /// per-object draws (aircraft tracks, oscillator offsets); per-sample
+  /// noise uses fill_normal.
   [[nodiscard]] double normal() noexcept;
 
   /// Normal with mean/stddev.
   [[nodiscard]] double normal(double mean, double stddev) noexcept;
+
+  /// Fills `out` with independent N(0, sigma^2) floats: a 128-layer
+  /// ziggurat (Marsaglia & Tsang) with exact tail and wedge rejection. Each
+  /// 32-bit half of one next() gives a 7-bit layer and a 25-bit signed
+  /// value, so one draw yields two normals. An odd-length fill discards the
+  /// second normal of its last draw: fills split at even offsets equal one
+  /// whole fill. Does not touch normal()'s cached variate.
+  void fill_normal(std::span<float> out, float sigma) noexcept;
+
+  /// out[i] += sigma * z[i], with the draws fill_normal would make.
+  void add_normal(std::span<float> out, float sigma) noexcept;
 
   /// Exponential with the given rate (events per unit).
   [[nodiscard]] double exponential(double rate) noexcept;
