@@ -5,6 +5,7 @@
 //   3. Fixed gain versus AGC for comparable power readings (§3.2: "The SDR
 //      was configured with a fixed gain to prevent measurement differences
 //      from automatic gain control").
+#include <cmath>
 #include <iostream>
 
 #include "adsb/decoder.hpp"
@@ -100,9 +101,9 @@ int main() {
                  util::format_fixed(weak_agc, 1)});
   gains.print(std::cout);
   std::cout << "fixed-gain spread " << util::format_fixed(
-                   strong_fixed.power_dbfs - weak_fixed.power_dbfs, 1)
+                   std::fabs(strong_fixed.power_dbfs - weak_fixed.power_dbfs), 1)
             << " dB vs AGC spread "
-            << util::format_fixed(strong_agc - weak_agc, 1)
+            << util::format_fixed(std::fabs(strong_agc - weak_agc), 1)
             << " dB — AGC erases the level differences the calibration\n"
                "needs, which is why the paper pins the gain.\n";
   return 0;

@@ -65,8 +65,9 @@ LoCalibrationResult calibrate_lo(sdr::Device& device,
       static_cast<std::size_t>(config.capture_duration_s * config.sample_rate_hz);
 
   // One plan-based estimator for all channels: every capture has the same
-  // length, so the zero-padded FFT plan and scratch are built once and the
-  // per-channel spectrum lands in a reused buffer.
+  // length, so the capture buffer, the zero-padded FFT plan and scratch are
+  // built once and the per-channel spectrum lands in a reused buffer.
+  dsp::Buffer capture(samples);
   dsp::SpectrumEstimator estimator(dsp::next_power_of_two(std::max<std::size_t>(1, samples)));
   std::vector<double> spectrum;
 
@@ -80,7 +81,7 @@ LoCalibrationResult calibrate_lo(sdr::Device& device,
       out.pilots.push_back(meas);
       continue;
     }
-    const dsp::Buffer capture = device.capture(samples);
+    device.capture_into(capture);
 
     // Zero-padded FFT peak search inside the expected window. (A Goertzel
     // comb covering the whole window at this resolution would cost ~1000x

@@ -382,6 +382,7 @@ NodeTaskSet CalibrationPipeline::plan(sdr::Device& device,
             [this, ctx] {
               CalibrationReport& report = *ctx->report;
               report.anomaly_scan.position = ctx->rx.position;
+              dsp::Buffer capture;  // reused across bands
               for (const WatchBand& band : config_.anomaly_scan.bands) {
                 WatchObservation obs;
                 obs.label = band.label;
@@ -391,9 +392,9 @@ NodeTaskSet CalibrationPipeline::plan(sdr::Device& device,
                 obs.tune_ok =
                     ctx->device->tune(band.center_hz, band.sample_rate_hz);
                 if (obs.tune_ok) {
-                  const auto count = static_cast<std::size_t>(
-                      band.capture_duration_s * band.sample_rate_hz);
-                  const dsp::Buffer capture = ctx->device->capture(count);
+                  capture.resize(static_cast<std::size_t>(
+                      band.capture_duration_s * band.sample_rate_hz));
+                  ctx->device->capture_into(capture);
                   obs.power_dbfs = dsp::mean_power_dbfs(capture);
                   obs.autocorr_rho = dsp::lag_autocorrelation(capture);
                   report.metrics.at(Stage::kAnomalyScan).samples_captured +=

@@ -98,12 +98,14 @@ SurveyResult AdsbSurvey::run_waveform(sdr::Device& device,
 
   const auto total_samples = static_cast<std::size_t>(
       config_.duration_s * adsb::kPpmSampleRateHz);
+  dsp::Buffer buf(std::min(config_.chunk_samples, total_samples));
   std::size_t processed = 0;
   while (processed < total_samples) {
-    const std::size_t n = std::min(config_.chunk_samples, total_samples - processed);
+    const std::size_t n = std::min(buf.size(), total_samples - processed);
     const double chunk_time = device.stream_time_s();
-    const dsp::Buffer buf = device.capture(n);
-    decoder.feed(buf, chunk_time);
+    const std::span<dsp::Sample> chunk = std::span(buf).first(n);
+    device.capture_into(chunk);
+    decoder.feed(chunk, chunk_time);
     processed += n;
   }
 

@@ -261,13 +261,13 @@ std::vector<std::pair<Cell, PssDetection>> waveform_cell_search(
     device.set_gain_mode(sdr::GainMode::kManual);
     device.set_gain_db(config.manual_gain_db);
   }
-  const auto samples =
-      static_cast<std::size_t>(config.capture_duration_s * kSearchRateHz);
+  dsp::Buffer capture(
+      static_cast<std::size_t>(config.capture_duration_s * kSearchRateHz));
 
   for (const auto& cell : candidates) {
     PssDetection det;
     if (device.tune(cell.dl_freq_hz, kSearchRateHz)) {
-      const dsp::Buffer capture = device.capture(samples);
+      device.capture_into(capture);
       det = pss_search(capture);
       det.detected = det.metric >= config.detection_threshold &&
                      det.nid2 == static_cast<int>(cell.pci % 3);

@@ -1,31 +1,12 @@
 #include "dsp/convolver.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 
 #include "dsp/simd.hpp"
 
 namespace speccal::dsp {
-
-bool prefer_fft_convolution(std::size_t taps, std::size_t block_size) noexcept {
-  if (taps < 16 || block_size < taps) return false;
-  // Direct: one complex MAC per tap per output sample, accumulated in
-  // double — ~8 real ops each.
-  const double direct_ops = 8.0 * static_cast<double>(taps) *
-                            static_cast<double>(block_size);
-  // Overlap-save with the auto-selected FFT size: two float transforms
-  // (~5 N log2 N real ops each) plus one spectral product (6 N) per block
-  // of L = N - taps + 1 fresh samples.
-  const std::size_t n = next_power_of_two(std::max<std::size_t>(4 * taps, 256));
-  const double l = static_cast<double>(n - taps + 1);
-  const double blocks = std::ceil(static_cast<double>(block_size) / l);
-  const double log2n = std::log2(static_cast<double>(n));
-  const double fft_ops =
-      blocks * (2.0 * 5.0 * static_cast<double>(n) * log2n + 6.0 * static_cast<double>(n));
-  return fft_ops < direct_ops;
-}
 
 FftConvolver::FftConvolver(std::span<const std::complex<double>> taps,
                            std::size_t fft_size)

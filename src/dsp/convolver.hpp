@@ -29,14 +29,6 @@ namespace speccal::dsp {
 /// "Capture-path performance" for the derivation.
 inline constexpr float kConvolverEquivalenceTolerance = 1e-4f;
 
-/// Crossover heuristic: true when overlap-save FFT convolution is expected
-/// to beat direct time-domain convolution for `taps` filter taps applied to
-/// a block of `block_size` samples. Compares estimated real-op counts
-/// (direct: 8 ops per tap per sample in double; FFT: two float transforms
-/// plus a spectral product per overlap-save block).
-[[nodiscard]] bool prefer_fft_convolution(std::size_t taps,
-                                          std::size_t block_size) noexcept;
-
 /// Streaming overlap-save convolver for complex float samples with complex
 /// double taps. Not thread-safe: one instance per stream (the fleet engine
 /// gives every worker its own device and sources). Steady-state

@@ -46,9 +46,8 @@ class FirFilter {
 
   /// Allocation-free variant: filter a block into a caller-owned span of
   /// the same length (one output per input; `in` and `out` may not
-  /// overlap). Same streaming state as process(). The fast path for short
-  /// blocks where FFT convolution does not pay off — see
-  /// dsp::prefer_fft_convolution.
+  /// overlap). Same streaming state as process(); the direct reference
+  /// dsp::FftConvolver is tested against.
   void filter_into(std::span<const std::complex<float>> in,
                    std::span<std::complex<float>> out);
 

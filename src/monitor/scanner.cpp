@@ -104,12 +104,11 @@ SweepResult SpectrumScanner::sweep(sdr::Device& device, double start_hz,
   device.set_gain_db(config_.gain_db);
 
   const double usable = config_.usable_fraction * config_.sample_rate_hz;
-  const auto samples_per_hop =
-      static_cast<std::size_t>(config_.dwell_s * config_.sample_rate_hz);
-
-  // One estimator for the whole sweep: the FFT plan comes from the shared
-  // cache and the segment scratch is reused hop to hop, so the per-hop PSD
-  // allocates only its output bins.
+  // One capture buffer and one estimator for the whole sweep: the FFT plan
+  // comes from the shared cache and the segment scratch is reused hop to
+  // hop, so the per-hop PSD allocates only its output bins.
+  dsp::Buffer capture(
+      static_cast<std::size_t>(config_.dwell_s * config_.sample_rate_hz));
   dsp::WelchEstimator welch(config_.welch);
 
   for (double center = start_hz + usable / 2.0; center - usable / 2.0 < stop_hz;
@@ -118,7 +117,7 @@ SweepResult SpectrumScanner::sweep(sdr::Device& device, double start_hz,
     hop.center_hz = center;
     hop.tune_ok = device.tune(center, config_.sample_rate_hz);
     if (hop.tune_ok) {
-      const dsp::Buffer capture = device.capture(samples_per_hop);
+      device.capture_into(capture);
       // Presence pre-check: vacant hops short-circuit the Welch estimate
       // and report a Parseval-consistent flat PSD (DESIGN.md §14).
       bool run_welch = true;

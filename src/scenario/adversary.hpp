@@ -98,7 +98,7 @@ struct AdversaryProfile {
   /// when the node is not scripted). Waveform state is derived from the
   /// *profile* seed — deterministic per (profile, node index), independent
   /// of the node's own seed and of which worker thread builds the device.
-  /// Feed the result to scenario::make_owned_node's extra_sources overload.
+  /// Feed the result to scenario::make_owned_node's extra_sources.
   [[nodiscard]] std::vector<std::shared_ptr<sdr::SignalSource>> sources_for(
       std::size_t node_index) const;
 };

@@ -210,42 +210,21 @@ std::unique_ptr<sdr::SimulatedSdr> make_node(const SiteSetup& site,
 
 namespace {
 
-/// Forwarding device that keeps the SiteSetup alive alongside the inner
-/// SimulatedSdr (which borrows the setup's obstruction/antenna/fading
-/// models through raw pointers).
-class OwnedNode final : public sdr::Device {
+/// make_owned_node's device. SiteHolder is the first base, so the SiteSetup
+/// is built before and destroyed after the inner SimulatedSdr, which
+/// borrows the setup's obstruction/antenna/fading models through raw
+/// pointers.
+struct SiteHolder {
+  SiteSetup setup;
+};
+
+class OwnedNode final : private SiteHolder, public sdr::DeviceDecorator {
  public:
   OwnedNode(SiteSetup setup, std::unique_ptr<sdr::SimulatedSdr> sdr)
-      : setup_(std::move(setup)), sdr_(std::move(sdr)) {}
-
-  [[nodiscard]] sdr::DeviceInfo info() const override { return sdr_->info(); }
-  [[nodiscard]] geo::Geodetic position() const override { return sdr_->position(); }
-  [[nodiscard]] sdr::SimControl* sim_control() noexcept override { return sdr_.get(); }
-  bool tune(double f_hz, double rate_hz) override { return sdr_->tune(f_hz, rate_hz); }
-  void set_gain_mode(sdr::GainMode mode) override { sdr_->set_gain_mode(mode); }
-  void set_gain_db(double gain_db) override { sdr_->set_gain_db(gain_db); }
-  [[nodiscard]] double gain_db() const override { return sdr_->gain_db(); }
-  [[nodiscard]] dsp::Buffer capture(std::size_t count) override {
-    return sdr_->capture(count);
-  }
-  [[nodiscard]] double stream_time_s() const override { return sdr_->stream_time_s(); }
-  [[nodiscard]] double center_freq_hz() const override { return sdr_->center_freq_hz(); }
-  [[nodiscard]] double sample_rate_hz() const override { return sdr_->sample_rate_hz(); }
-
- private:
-  SiteSetup setup_;
-  std::unique_ptr<sdr::SimulatedSdr> sdr_;
+      : SiteHolder{std::move(setup)}, DeviceDecorator(std::move(sdr)) {}
 };
 
 }  // namespace
-
-std::unique_ptr<sdr::Device> make_owned_node(Site site,
-                                             const calib::WorldModel& world,
-                                             std::uint64_t seed) {
-  SiteSetup setup = make_site(site, seed);
-  auto sdr = make_node(setup, world, seed);
-  return std::make_unique<OwnedNode>(std::move(setup), std::move(sdr));
-}
 
 std::unique_ptr<sdr::Device> make_owned_node(
     Site site, const calib::WorldModel& world, std::uint64_t seed,

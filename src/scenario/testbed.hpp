@@ -77,17 +77,13 @@ struct SiteSetup {
 /// site models it measures through (obstructions, antenna, fading), so a
 /// `calib::FleetJob::make_device` factory can hand it off with no external
 /// lifetime to manage. Built entirely from (site, world, seed), it makes
-/// parallel and serial fleet runs bitwise-identical.
-[[nodiscard]] std::unique_ptr<sdr::Device> make_owned_node(
-    Site site, const calib::WorldModel& world, std::uint64_t seed);
-
-/// make_owned_node with additional RF sources on the air at this node —
-/// how the adversary scenario pack (scenario/adversary.hpp) injects
-/// jammers, spoofers and rogue towers into a fleet factory. An empty list
-/// is byte-identical to the plain overload.
+/// parallel and serial fleet runs bitwise-identical. `extra_sources` are
+/// additional RF sources on the air at this node — how the adversary
+/// scenario pack (scenario/adversary.hpp) injects jammers, spoofers and
+/// rogue towers into a fleet factory.
 [[nodiscard]] std::unique_ptr<sdr::Device> make_owned_node(
     Site site, const calib::WorldModel& world, std::uint64_t seed,
-    const std::vector<std::shared_ptr<sdr::SignalSource>>& extra_sources);
+    const std::vector<std::shared_ptr<sdr::SignalSource>>& extra_sources = {});
 
 /// Paper Figure-4 channel list (RF channels for 213..605 MHz).
 [[nodiscard]] std::vector<int> figure4_channels();

@@ -7,11 +7,13 @@
 // measurements require: tune, set gain or AGC, stream I/Q.
 #pragma once
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "dsp/iq.hpp"
 #include "geo/wgs84.hpp"
@@ -115,18 +117,20 @@ class Device {
   virtual void set_gain_db(double gain_db) = 0;
   [[nodiscard]] virtual double gain_db() const = 0;
 
-  /// Capture `count` I/Q samples starting at the device's current stream
-  /// time. Advances stream time by count / sample_rate.
-  [[nodiscard]] virtual dsp::Buffer capture(std::size_t count) = 0;
+  /// Capture `out.size()` I/Q samples into a caller-owned buffer, starting
+  /// at the device's current stream time, and advance stream time by
+  /// out.size() / sample_rate. The one capture every device implements:
+  /// measurement loops reuse one buffer, so steady-state captures never
+  /// touch the heap.
+  virtual void capture_into(std::span<dsp::Sample> out) = 0;
 
-  /// Capture into a caller-owned buffer — the zero-allocation path for
-  /// streaming measurement loops that reuse one block. Semantics match
-  /// capture(out.size()). The default adapter falls back to capture();
-  /// devices with a native scatter path (SimulatedSdr, real streaming
-  /// drivers) override it.
-  virtual void capture_into(std::span<dsp::Sample> out) {
-    const dsp::Buffer buf = capture(out.size());
-    std::copy(buf.begin(), buf.end(), out.begin());
+  /// Allocating helper: a zero-filled buffer of `count` samples passed to
+  /// capture_into(). Virtual only so a timing decorator can wrap it; a
+  /// device overrides capture_into, never this.
+  [[nodiscard]] virtual dsp::Buffer capture(std::size_t count) {
+    dsp::Buffer buf(count);
+    capture_into(buf);
+    return buf;
   }
 
   /// Current stream time [s] since device creation.
@@ -134,6 +138,40 @@ class Device {
 
   [[nodiscard]] virtual double center_freq_hz() const = 0;
   [[nodiscard]] virtual double sample_rate_hz() const = 0;
+};
+
+/// Base of every device that wraps another (fault injection, wire
+/// recording, the fleet's site owner): owns `inner` and forwards each
+/// member to it, so a decorator overrides only what it changes. capture()
+/// keeps Device's helper, which runs this decorator's capture_into(), so an
+/// override of capture_into() sees every capture.
+class DeviceDecorator : public Device {
+ public:
+  explicit DeviceDecorator(std::unique_ptr<Device> inner) : inner_(std::move(inner)) {
+    if (inner_ == nullptr)
+      throw std::invalid_argument("DeviceDecorator: inner device is null");
+  }
+
+  [[nodiscard]] Device& inner() noexcept { return *inner_; }
+
+  [[nodiscard]] DeviceInfo info() const override { return inner_->info(); }
+  [[nodiscard]] geo::Geodetic position() const override { return inner_->position(); }
+  [[nodiscard]] SimControl* sim_control() noexcept override {
+    return inner_->sim_control();
+  }
+  bool tune(double center_freq_hz, double sample_rate_hz) override {
+    return inner_->tune(center_freq_hz, sample_rate_hz);
+  }
+  void set_gain_mode(GainMode mode) override { inner_->set_gain_mode(mode); }
+  void set_gain_db(double gain_db) override { inner_->set_gain_db(gain_db); }
+  [[nodiscard]] double gain_db() const override { return inner_->gain_db(); }
+  void capture_into(std::span<dsp::Sample> out) override { inner_->capture_into(out); }
+  [[nodiscard]] double stream_time_s() const override { return inner_->stream_time_s(); }
+  [[nodiscard]] double center_freq_hz() const override { return inner_->center_freq_hz(); }
+  [[nodiscard]] double sample_rate_hz() const override { return inner_->sample_rate_hz(); }
+
+ private:
+  std::unique_ptr<Device> inner_;
 };
 
 }  // namespace speccal::sdr

@@ -44,7 +44,6 @@ void FixedEmitterSource::render(const CaptureContext& ctx,
   if (shaper_taps_.empty() || !(key == filter_key_)) {
     shaper_taps_ =
         dsp::design_bandpass(ctx.sample_rate_hz, clipped_low, clipped_high, 127);
-    direct_shaper_.reset();
     fft_shaper_.reset();
     filter_key_ = key;
     ++shaper_rebuilds_;
@@ -64,21 +63,13 @@ void FixedEmitterSource::render(const CaptureContext& ctx,
   rng_.fill_normal(dsp::as_floats(white), 1.0f);
   auto shaped = scratch_.shaped(total);
 
-  // Crossover: block convolution wins for long filters on full capture
-  // buffers; tiny blocks stay on the direct path.
-  if (dsp::prefer_fft_convolution(shaper_taps_.size(), total)) {
-    if (fft_shaper_ == nullptr)
-      fft_shaper_ = std::make_unique<dsp::FftConvolver>(shaper_taps_);
-    else
-      fft_shaper_->reset();
-    fft_shaper_->filter_into(white, shaped);
-  } else {
-    if (direct_shaper_ == nullptr)
-      direct_shaper_ = std::make_unique<dsp::FirFilter>(shaper_taps_);
-    else
-      direct_shaper_->reset();
-    direct_shaper_->filter_into(white, shaped);
-  }
+  // Overlap-save: every block here has at least 127 samples, where it costs
+  // far fewer operations than direct convolution (DESIGN.md §9).
+  if (fft_shaper_ == nullptr)
+    fft_shaper_ = std::make_unique<dsp::FftConvolver>(shaper_taps_);
+  else
+    fft_shaper_->reset();
+  fft_shaper_->filter_into(white, shaped);
   const auto steady = shaped.subspan(prime, n);
 
   double fraction_in_band = 1.0;

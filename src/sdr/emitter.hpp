@@ -59,8 +59,8 @@ class FixedEmitterSource final : public SignalSource {
   [[nodiscard]] RenderScratch::Stats render_scratch_stats() const noexcept {
     return scratch_.stats();
   }
-  /// Bytes reserved inside the FFT convolver's scratch (0 until the FFT
-  /// path has run; monotone afterwards).
+  /// Bytes reserved inside the FFT convolver's scratch (0 until the first
+  /// render; monotone afterwards).
   [[nodiscard]] std::size_t convolver_scratch_bytes() const noexcept {
     return fft_shaper_ ? fft_shaper_->scratch_capacity_bytes() : 0;
   }
@@ -69,8 +69,8 @@ class FixedEmitterSource final : public SignalSource {
   EmitterConfig config_;
   util::Rng rng_;
   // Cached channel-shaping filter, rebuilt when the tuning changes. The
-  // taps are designed once per tuning; the direct and FFT engines are
-  // built lazily from them (the per-render crossover heuristic picks one).
+  // taps are designed once per tuning; the overlap-save engine is built
+  // lazily from them.
   struct FilterKey {
     double sample_rate_hz = 0.0;
     double low_hz = 0.0;
@@ -79,7 +79,6 @@ class FixedEmitterSource final : public SignalSource {
   };
   FilterKey filter_key_;
   std::vector<std::complex<double>> shaper_taps_;
-  std::unique_ptr<dsp::FirFilter> direct_shaper_;
   std::unique_ptr<dsp::FftConvolver> fft_shaper_;
   RenderScratch scratch_;
   std::size_t shaper_rebuilds_ = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <limits>
 #include <set>
 #include <stdexcept>
@@ -26,6 +25,37 @@ obs::Counter& injected_counter() {
   throw std::runtime_error(std::string("injected fault: ") + to_string(op) +
                            " op " + std::to_string(index) + " (" +
                            to_string(kind) + ")");
+}
+
+/// The taxonomy of DESIGN.md §11: can `kind` fire on an `op` call?
+bool fires_on(FaultOp op, FaultKind kind) noexcept {
+  switch (kind) {
+    case FaultKind::kThrow: return op != FaultOp::kGain;
+    case FaultKind::kShortRead:
+    case FaultKind::kNanBurst:
+    case FaultKind::kSaturate:
+    case FaultKind::kStall: return op == FaultOp::kCapture;
+    case FaultKind::kTuneRefuse: return op == FaultOp::kTune;
+    case FaultKind::kGainDriftDb: return op == FaultOp::kGain;
+  }
+  return false;
+}
+
+/// Throws std::invalid_argument naming `where` (the spec's field path) on a
+/// kind its op cannot fire or a parameter out of range.
+void validate_spec(const FaultSpec& spec, const std::string& where) {
+  if (!fires_on(spec.op, spec.kind))
+    throw std::invalid_argument(where + ".kind '" + to_string(spec.kind) +
+                                "' cannot fire on op '" + to_string(spec.op) +
+                                "'");
+  if (!(spec.probability >= 0.0 && spec.probability <= 1.0))
+    throw std::invalid_argument(where + ".probability must be in [0, 1]");
+  if (spec.kind == FaultKind::kShortRead && !(spec.param >= 0.0 && spec.param <= 1.0))
+    throw std::invalid_argument(where +
+                                ".param (short-read fraction) must be in [0, 1]");
+  // An hour is far above any watchdog timeout and keeps sleep_for finite.
+  if (spec.kind == FaultKind::kStall && !(spec.param >= 0.0 && spec.param <= 3600.0))
+    throw std::invalid_argument(where + ".param (stall seconds) must be in [0, 3600]");
 }
 
 }  // namespace
@@ -56,12 +86,13 @@ FaultInjectingDevice::FaultInjectingDevice(std::unique_ptr<Device> inner,
                                            std::vector<FaultSpec> schedule,
                                            std::uint64_t seed,
                                            std::string node_label)
-    : inner_(std::move(inner)),
+    : DeviceDecorator(std::move(inner)),
       schedule_(std::move(schedule)),
       node_label_(std::move(node_label)),
       rng_(seed) {
-  if (inner_ == nullptr)
-    throw std::invalid_argument("FaultInjectingDevice: inner device is null");
+  for (std::size_t i = 0; i < schedule_.size(); ++i)
+    validate_spec(schedule_[i],
+                  "FaultInjectingDevice.schedule[" + std::to_string(i) + "]");
 }
 
 const FaultSpec* FaultInjectingDevice::match(FaultOp op, std::uint64_t index) {
@@ -94,107 +125,61 @@ bool FaultInjectingDevice::tune(double center_freq_hz, double sample_rate_hz) {
     note_injection(*spec, index);
     if (spec->kind == FaultKind::kThrow)
       throw_injected(FaultOp::kTune, spec->kind, index);
-    // kTuneRefuse (and any misdirected kind): the PLL refuses to lock. The
-    // inner device is left untouched so its previous tuning stays valid.
+    // kTuneRefuse: the PLL refuses to lock. The inner device is left
+    // untouched so its previous tuning stays valid.
     return false;
   }
-  return inner_->tune(center_freq_hz, sample_rate_hz);
+  return DeviceDecorator::tune(center_freq_hz, sample_rate_hz);
 }
 
 void FaultInjectingDevice::set_gain_db(double gain_db) {
   const std::uint64_t index = gain_ops_++;
-  if (const FaultSpec* spec = match(FaultOp::kGain, index);
-      spec != nullptr && spec->kind == FaultKind::kGainDriftDb) {
+  if (const FaultSpec* spec = match(FaultOp::kGain, index)) {  // kGainDriftDb
     note_injection(*spec, index);
-    inner_->set_gain_db(gain_db + spec->param);
+    DeviceDecorator::set_gain_db(gain_db + spec->param);
     reported_gain_db_ = gain_db;  // the silent lie: report what was asked
     gain_lie_active_ = true;
     return;
   }
   gain_lie_active_ = false;
-  inner_->set_gain_db(gain_db);
+  DeviceDecorator::set_gain_db(gain_db);
 }
 
 double FaultInjectingDevice::gain_db() const {
-  return gain_lie_active_ ? reported_gain_db_ : inner_->gain_db();
-}
-
-dsp::Buffer FaultInjectingDevice::capture(std::size_t count) {
-  const std::uint64_t index = capture_ops_++;
-  const FaultSpec* spec = match(FaultOp::kCapture, index);
-  if (spec == nullptr) return inner_->capture(count);
-  note_injection(*spec, index);
-  switch (spec->kind) {
-    case FaultKind::kThrow:
-      throw_injected(FaultOp::kCapture, spec->kind, index);
-    case FaultKind::kStall: {
-      const double stall_s = std::max(0.0, spec->param);
-      std::this_thread::sleep_for(std::chrono::duration<double>(stall_s));
-      stalled_s_ += stall_s;
-      throw_injected(FaultOp::kCapture, spec->kind, index);
-    }
-    case FaultKind::kShortRead: {
-      dsp::Buffer buf = inner_->capture(count);
-      const double frac = std::clamp(spec->param, 0.0, 1.0);
-      buf.resize(static_cast<std::size_t>(static_cast<double>(buf.size()) * frac));
-      return buf;
-    }
-    case FaultKind::kNanBurst: {
-      dsp::Buffer buf = inner_->capture(count);
-      const float nan = std::numeric_limits<float>::quiet_NaN();
-      std::fill(buf.begin(), buf.end(), dsp::Sample{nan, nan});
-      return buf;
-    }
-    case FaultKind::kSaturate: {
-      dsp::Buffer buf = inner_->capture(count);
-      std::fill(buf.begin(), buf.end(), dsp::Sample{1.0f, 1.0f});
-      return buf;
-    }
-    default:
-      return inner_->capture(count);  // tune/gain kinds never reach here
-  }
+  return gain_lie_active_ ? reported_gain_db_ : DeviceDecorator::gain_db();
 }
 
 void FaultInjectingDevice::capture_into(std::span<dsp::Sample> out) {
   const std::uint64_t index = capture_ops_++;
   const FaultSpec* spec = match(FaultOp::kCapture, index);
-  if (spec == nullptr) {
-    inner_->capture_into(out);
-    return;
-  }
+  if (spec == nullptr) return DeviceDecorator::capture_into(out);
   note_injection(*spec, index);
   switch (spec->kind) {
+    case FaultKind::kStall:
+      std::this_thread::sleep_for(std::chrono::duration<double>(spec->param));
+      stalled_s_ += spec->param;
+      [[fallthrough]];
     case FaultKind::kThrow:
       throw_injected(FaultOp::kCapture, spec->kind, index);
-    case FaultKind::kStall: {
-      const double stall_s = std::max(0.0, spec->param);
-      std::this_thread::sleep_for(std::chrono::duration<double>(stall_s));
-      stalled_s_ += stall_s;
-      throw_injected(FaultOp::kCapture, spec->kind, index);
-    }
-    case FaultKind::kShortRead: {
+    case FaultKind::kShortRead:
       // Only the head of the buffer is written; the tail keeps whatever the
-      // caller had there (stale samples) — the nastiest real-world variant.
-      const double frac = std::clamp(spec->param, 0.0, 1.0);
-      const auto n =
-          static_cast<std::size_t>(static_cast<double>(out.size()) * frac);
-      inner_->capture_into(out.subspan(0, n));
+      // caller had there — in a stage's reused buffer, the previous
+      // capture's samples (DESIGN.md §11).
+      DeviceDecorator::capture_into(out.first(static_cast<std::size_t>(
+          static_cast<double>(out.size()) * spec->param)));
       return;
-    }
-    case FaultKind::kNanBurst: {
-      inner_->capture_into(out);
-      const float nan = std::numeric_limits<float>::quiet_NaN();
-      std::fill(out.begin(), out.end(), dsp::Sample{nan, nan});
-      return;
-    }
+    case FaultKind::kNanBurst:
     case FaultKind::kSaturate: {
-      inner_->capture_into(out);
-      std::fill(out.begin(), out.end(), dsp::Sample{1.0f, 1.0f});
+      DeviceDecorator::capture_into(out);
+      const float v = spec->kind == FaultKind::kSaturate
+                          ? 1.0f
+                          : std::numeric_limits<float>::quiet_NaN();
+      std::fill(out.begin(), out.end(), dsp::Sample{v, v});
       return;
     }
-    default:
-      inner_->capture_into(out);
-      return;
+    case FaultKind::kTuneRefuse:   // never on a capture: the constructor
+    case FaultKind::kGainDriftDb:  // rejects both (validate_spec)
+      break;
   }
 }
 
@@ -223,19 +208,8 @@ void FaultProfile::validate() const {
     if (!indices.insert(nodes[n].index).second)
       throw std::invalid_argument("FaultProfile.nodes[" + std::to_string(n) +
                                   "].index repeats an earlier node's index");
-    for (std::size_t f = 0; f < nodes[n].faults.size(); ++f) {
-      const FaultSpec& spec = nodes[n].faults[f];
-      if (spec.probability < 0.0 || spec.probability > 1.0)
-        throw std::invalid_argument(where(f) +
-                                    ".probability must be in [0, 1]");
-      if (spec.kind == FaultKind::kShortRead &&
-          (spec.param < 0.0 || spec.param > 1.0))
-        throw std::invalid_argument(
-            where(f) + ".param (short-read fraction) must be in [0, 1]");
-      if (spec.kind == FaultKind::kStall && spec.param < 0.0)
-        throw std::invalid_argument(where(f) +
-                                    ".param (stall seconds) must be >= 0");
-    }
+    for (std::size_t f = 0; f < nodes[n].faults.size(); ++f)
+      validate_spec(nodes[n].faults[f], where(f));
   }
 }
 

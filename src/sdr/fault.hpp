@@ -32,15 +32,16 @@ namespace speccal::sdr {
 
 /// Which device operation a fault spec targets. Each operation kind has its
 /// own monotonically increasing call index (the schedule's time axis):
-/// capture() and capture_into() share the kCapture counter.
+/// capture() runs capture_into(), so each capture ticks kCapture once.
 enum class FaultOp : std::uint8_t {
-  kCapture,  // capture() / capture_into()
+  kCapture,  // capture_into(), and capture() through it
   kTune,     // tune()
   kGain,     // set_gain_db()
 };
 
-/// Fault taxonomy (DESIGN.md §11). Capture kinds apply to kCapture ops,
-/// kTuneRefuse/kThrow to kTune ops, kGainDriftDb to kGain ops.
+/// Fault taxonomy (DESIGN.md §11). kThrow applies to kCapture and kTune ops,
+/// kShortRead/kNanBurst/kSaturate/kStall to kCapture, kTuneRefuse to kTune,
+/// kGainDriftDb to kGain; validation rejects every other pairing.
 enum class FaultKind : std::uint8_t {
   kThrow,       // the call throws std::runtime_error (driver I/O error)
   kShortRead,   // only `param` fraction of the samples arrive; the tail of a
@@ -66,7 +67,7 @@ struct FaultSpec {
   FaultKind kind = FaultKind::kThrow;
   std::uint64_t first = 0;   // 0-based op index where the window opens
   std::int64_t count = 1;    // ops affected; negative = persistent
-  double param = 0.0;        // fraction (kShortRead), seconds (kStall),
+  double param = 0.0;        // fraction (kShortRead), seconds <= 3600 (kStall),
                              // dB (kGainDriftDb); unused otherwise
   double probability = 1.0;  // < 1.0: rolled per matching op on the
                              // device's seeded Rng (deterministic)
@@ -75,38 +76,23 @@ struct FaultSpec {
 /// Decorator that forwards every Device call to `inner`, injecting the
 /// scheduled faults. Not thread-safe (like Device itself: one device per
 /// fleet worker).
-class FaultInjectingDevice final : public Device {
+class FaultInjectingDevice final : public DeviceDecorator {
  public:
   /// `node_label` tags this device's injection events in the obs::EventLog
-  /// journal (empty = unattributed; the op counters still tick).
+  /// journal (empty = unattributed; the op counters still tick). Throws
+  /// std::invalid_argument on a null `inner` or a spec outside the taxonomy
+  /// (the checks of FaultProfile::validate, naming "schedule[i]").
   FaultInjectingDevice(std::unique_ptr<Device> inner,
                        std::vector<FaultSpec> schedule,
                        std::uint64_t seed = 0, std::string node_label = {});
 
   // Device interface --------------------------------------------------------
-  [[nodiscard]] DeviceInfo info() const override { return inner_->info(); }
-  [[nodiscard]] geo::Geodetic position() const override { return inner_->position(); }
-  [[nodiscard]] SimControl* sim_control() noexcept override {
-    return inner_->sim_control();
-  }
   bool tune(double center_freq_hz, double sample_rate_hz) override;
-  void set_gain_mode(GainMode mode) override { inner_->set_gain_mode(mode); }
   void set_gain_db(double gain_db) override;
   [[nodiscard]] double gain_db() const override;
-  [[nodiscard]] dsp::Buffer capture(std::size_t count) override;
   void capture_into(std::span<dsp::Sample> out) override;
-  [[nodiscard]] double stream_time_s() const override {
-    return inner_->stream_time_s();
-  }
-  [[nodiscard]] double center_freq_hz() const override {
-    return inner_->center_freq_hz();
-  }
-  [[nodiscard]] double sample_rate_hz() const override {
-    return inner_->sample_rate_hz();
-  }
 
   // Chaos bookkeeping -------------------------------------------------------
-  [[nodiscard]] Device& inner() noexcept { return *inner_; }
   [[nodiscard]] std::uint64_t injected_count() const noexcept { return injected_; }
   [[nodiscard]] std::uint64_t capture_ops() const noexcept { return capture_ops_; }
   [[nodiscard]] std::uint64_t tune_ops() const noexcept { return tune_ops_; }
@@ -118,7 +104,6 @@ class FaultInjectingDevice final : public Device {
   [[nodiscard]] const FaultSpec* match(FaultOp op, std::uint64_t index);
   void note_injection(const FaultSpec& spec, std::uint64_t index);
 
-  std::unique_ptr<Device> inner_;
   std::vector<FaultSpec> schedule_;
   std::string node_label_;
   util::Rng rng_;
@@ -153,6 +138,7 @@ struct FaultProfile {
   [[nodiscard]] bool empty() const noexcept { return nodes.empty(); }
   /// Throws std::invalid_argument naming the field (e.g.
   /// "FaultProfile.retry_max_attempts must be >= 1") on out-of-range values
+  /// or a fault kind its op cannot fire (FaultProfile.nodes[n].faults[f].kind)
   /// — the shared config-validation convention (DESIGN.md §13).
   /// make_fault_profile() calls this on every profile it returns.
   void validate() const;

@@ -52,12 +52,6 @@ const CaptureRecord& ReplayDevice::expect(std::size_t count) {
   return rec;
 }
 
-dsp::Buffer ReplayDevice::capture(std::size_t count) {
-  dsp::Buffer buf(count);
-  capture_into(buf);
-  return buf;
-}
-
 void ReplayDevice::capture_into(std::span<dsp::Sample> out) {
   if (out.empty()) return;  // zero-sample captures record nothing
   const CaptureRecord& rec = expect(out.size());

@@ -7,7 +7,7 @@ namespace speccal::sdr {
 SegmentizingDevice::SegmentizingDevice(std::unique_ptr<Device> inner,
                                        net::SegmentWriterConfig config,
                                        std::uint32_t stream_id, Sink sink)
-    : inner_(std::move(inner)),
+    : DeviceDecorator(std::move(inner)),
       writer_(config, stream_id),
       sink_(std::move(sink)) {}
 
@@ -23,37 +23,19 @@ SegmentizingDevice::~SegmentizingDevice() {
 void SegmentizingDevice::finish() {
   if (finished_) return;
   finished_ = true;
-  net::CaptureMeta meta;
-  meta.center_freq_hz = inner_->center_freq_hz();
-  meta.sample_rate_hz = inner_->sample_rate_hz();
-  meta.gain_db = inner_->gain_db();
-  meta.timestamp_s = inner_->stream_time_s();
-  writer_.finish(meta, sink_);
+  writer_.finish(meta(stream_time_s()), sink_);
 }
 
-void SegmentizingDevice::record(double timestamp_s,
-                                std::span<const dsp::Sample> samples) {
-  net::CaptureMeta meta;
-  meta.center_freq_hz = inner_->center_freq_hz();
-  meta.sample_rate_hz = inner_->sample_rate_hz();
+net::CaptureMeta SegmentizingDevice::meta(double timestamp_s) const {
   // Gain is read *after* the capture so an AGC-chosen gain is recorded;
   // the replay device adopts it the same way.
-  meta.gain_db = inner_->gain_db();
-  meta.timestamp_s = timestamp_s;
-  writer_.write_capture(meta, samples, sink_);
-}
-
-dsp::Buffer SegmentizingDevice::capture(std::size_t count) {
-  const double start_s = inner_->stream_time_s();
-  dsp::Buffer buf = inner_->capture(count);
-  record(start_s, buf);
-  return buf;
+  return {center_freq_hz(), sample_rate_hz(), gain_db(), timestamp_s};
 }
 
 void SegmentizingDevice::capture_into(std::span<dsp::Sample> out) {
-  const double start_s = inner_->stream_time_s();
-  inner_->capture_into(out);
-  record(start_s, out);
+  const double start_s = stream_time_s();
+  DeviceDecorator::capture_into(out);
+  writer_.write_capture(meta(start_s), out, sink_);
 }
 
 }  // namespace speccal::sdr

@@ -24,7 +24,7 @@ namespace speccal::sdr {
 
 /// Decorator recording every capture of `inner` as wire segments. Not
 /// thread-safe (like Device itself: one device per fleet worker).
-class SegmentizingDevice final : public Device {
+class SegmentizingDevice final : public DeviceDecorator {
  public:
   using Sink = std::function<void(net::Segment&&)>;
 
@@ -41,37 +41,15 @@ class SegmentizingDevice final : public Device {
   /// destructor.
   void finish();
 
-  // Device interface --------------------------------------------------------
-  [[nodiscard]] DeviceInfo info() const override { return inner_->info(); }
-  [[nodiscard]] geo::Geodetic position() const override { return inner_->position(); }
-  [[nodiscard]] SimControl* sim_control() noexcept override {
-    return inner_->sim_control();
-  }
-  bool tune(double center_freq_hz, double sample_rate_hz) override {
-    return inner_->tune(center_freq_hz, sample_rate_hz);
-  }
-  void set_gain_mode(GainMode mode) override { inner_->set_gain_mode(mode); }
-  void set_gain_db(double gain_db) override { inner_->set_gain_db(gain_db); }
-  [[nodiscard]] double gain_db() const override { return inner_->gain_db(); }
-  [[nodiscard]] dsp::Buffer capture(std::size_t count) override;
+  /// Forwards the capture, then records it.
   void capture_into(std::span<dsp::Sample> out) override;
-  [[nodiscard]] double stream_time_s() const override {
-    return inner_->stream_time_s();
-  }
-  [[nodiscard]] double center_freq_hz() const override {
-    return inner_->center_freq_hz();
-  }
-  [[nodiscard]] double sample_rate_hz() const override {
-    return inner_->sample_rate_hz();
-  }
 
-  [[nodiscard]] Device& inner() noexcept { return *inner_; }
   [[nodiscard]] const net::SegmentWriter& writer() const noexcept { return writer_; }
 
  private:
-  void record(double timestamp_s, std::span<const dsp::Sample> samples);
+  /// Tuner state now, stamped with `timestamp_s`.
+  [[nodiscard]] net::CaptureMeta meta(double timestamp_s) const;
 
-  std::unique_ptr<Device> inner_;
   net::SegmentWriter writer_;
   Sink sink_;
   bool finished_ = false;

@@ -50,12 +50,6 @@ bool SimulatedSdr::tune(double center_freq_hz, double sample_rate_hz) {
   return tuned_ok_;
 }
 
-dsp::Buffer SimulatedSdr::capture(std::size_t count) {
-  dsp::Buffer buf(count);
-  capture_into(buf);
-  return buf;
-}
-
 void SimulatedSdr::capture_into(std::span<dsp::Sample> out) {
   const std::size_t count = out.size();
   // Two relaxed atomic adds per capture block — the whole per-capture cost

@@ -64,10 +64,9 @@ class SimulatedSdr final : public Device, public SimControl {
   void set_gain_mode(GainMode mode) override { gain_mode_ = mode; }
   void set_gain_db(double gain_db) override { gain_db_ = gain_db; }
   [[nodiscard]] double gain_db() const override { return gain_db_; }
-  [[nodiscard]] dsp::Buffer capture(std::size_t count) override;
-  /// Native zero-allocation capture: renders, adds noise, gains and
-  /// quantizes entirely inside `out` (sources reuse their own
-  /// RenderScratch pools, so steady-state calls never touch the heap).
+  /// Renders, adds noise, gains and quantizes entirely inside `out`
+  /// (sources reuse their own RenderScratch pools, so steady-state calls
+  /// never touch the heap).
   void capture_into(std::span<dsp::Sample> out) override;
   [[nodiscard]] double stream_time_s() const override { return stream_time_s_; }
   [[nodiscard]] double center_freq_hz() const override { return center_freq_hz_; }

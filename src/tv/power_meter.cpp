@@ -130,9 +130,10 @@ ChannelPowerReading PowerMeter::measure_channel(sdr::Device& device,
   if (!device.tune(*center, config_.sample_rate_hz)) return out;
   out.tune_ok = true;
 
-  const auto count =
-      static_cast<std::size_t>(config_.capture_duration_s * config_.sample_rate_hz);
-  const dsp::Buffer capture = device.capture(count);
+  capture_.resize(
+      static_cast<std::size_t>(config_.capture_duration_s * config_.sample_rate_hz));
+  device.capture_into(capture_);
+  const std::span<const dsp::Sample> capture(capture_);
   // Occupancy cross-check over the raw capture (one O(N) pass, no device
   // interaction — the reading itself is untouched).
   out.autocorr_rho = dsp::lag_autocorrelation(capture);

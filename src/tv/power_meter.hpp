@@ -113,6 +113,7 @@ class PowerMeter {
   PowerMeterConfig config_;
   // Per-measurement scratch (reset/reused each call); mutable so the
   // measurement API stays const like every other read-only evaluator.
+  mutable dsp::Buffer capture_;  // reused across channels
   mutable dsp::WelchEstimator welch_;
   mutable dsp::WelchResult psd_;
   mutable dsp::Goertzel pilot_probe_;

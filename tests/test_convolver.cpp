@@ -1,5 +1,5 @@
 // Unit tests: overlap-save FFT convolver equivalence, streaming semantics,
-// the direct-vs-FFT crossover heuristic, and the allocation-free FIR path.
+// and the allocation-free FIR path.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -127,21 +127,6 @@ TEST(FftConvolver, ValidatesArguments) {
   const auto in = noise(64, 19);
   std::vector<std::complex<float>> short_out(32);
   EXPECT_THROW(conv.filter_into(in, short_out), std::invalid_argument);
-}
-
-// -------------------------------------------------------------- crossover ----
-
-TEST(Crossover, LongFiltersOnCaptureBlocksPreferFft) {
-  EXPECT_TRUE(d::prefer_fft_convolution(127, 65536));
-  EXPECT_TRUE(d::prefer_fft_convolution(127, 4096));
-  EXPECT_TRUE(d::prefer_fft_convolution(255, 16384));
-}
-
-TEST(Crossover, ShortFiltersAndTinyBlocksStayDirect) {
-  EXPECT_FALSE(d::prefer_fft_convolution(7, 65536));
-  EXPECT_FALSE(d::prefer_fft_convolution(3, 64));
-  // Block shorter than the filter: overlap-save cannot amortize.
-  EXPECT_FALSE(d::prefer_fft_convolution(127, 64));
 }
 
 // ------------------------------------------------------- FirFilter into ----

@@ -18,6 +18,7 @@
 #include "obs/metrics.hpp"
 #include "scenario/testbed.hpp"
 #include "sdr/fault.hpp"
+#include "tv/power_meter.hpp"
 #include "util/json_reader.hpp"
 
 namespace cal = speccal::calib;
@@ -25,6 +26,7 @@ namespace sc = speccal::scenario;
 namespace sdr = speccal::sdr;
 namespace obs = speccal::obs;
 namespace dsp = speccal::dsp;
+namespace tv = speccal::tv;
 
 namespace {
 
@@ -41,10 +43,8 @@ cal::PipelineConfig chaos_config() {
   return cfg;
 }
 
-/// Minimal stub: capture() derives every sample from the running call
+/// Minimal stub: each capture derives every sample from the running call
 /// index, so two identically-constructed stubs replay the same stream.
-/// Deliberately does NOT override capture_into — it exercises the default
-/// fallback-to-capture() adapter in sdr::Device.
 class StubDevice : public sdr::Device {
  public:
   [[nodiscard]] sdr::DeviceInfo info() const override {
@@ -63,14 +63,12 @@ class StubDevice : public sdr::Device {
   void set_gain_mode(sdr::GainMode) override {}
   void set_gain_db(double g) override { gain_db_ = g; }
   [[nodiscard]] double gain_db() const override { return gain_db_; }
-  [[nodiscard]] dsp::Buffer capture(std::size_t count) override {
-    dsp::Buffer buf(count);
-    for (std::size_t k = 0; k < count; ++k)
-      buf[k] = dsp::Sample(static_cast<float>(calls_) + 0.25f,
+  void capture_into(std::span<dsp::Sample> out) override {
+    for (std::size_t k = 0; k < out.size(); ++k)
+      out[k] = dsp::Sample(static_cast<float>(calls_) + 0.25f,
                            -static_cast<float>(k));
     ++calls_;
-    stream_time_s_ += rate_ > 0.0 ? static_cast<double>(count) / rate_ : 0.0;
-    return buf;
+    stream_time_s_ += rate_ > 0.0 ? static_cast<double>(out.size()) / rate_ : 0.0;
   }
   [[nodiscard]] double stream_time_s() const override { return stream_time_s_; }
   [[nodiscard]] double center_freq_hz() const override { return freq_; }
@@ -91,9 +89,9 @@ class StubDevice : public sdr::Device {
 class FlakyStubDevice final : public StubDevice {
  public:
   explicit FlakyStubDevice(int fail_count) : fail_count_(fail_count) {}
-  [[nodiscard]] dsp::Buffer capture(std::size_t count) override {
+  void capture_into(std::span<dsp::Sample> out) override {
     if (attempts_++ < fail_count_) throw std::runtime_error("usb glitch");
-    return StubDevice::capture(count);
+    StubDevice::capture_into(out);
   }
 
  private:
@@ -141,31 +139,30 @@ std::uint64_t counter_value(const char* name) {
 
 }  // namespace
 
-// --- Device::capture_into default adapter (device.hpp) ----------------------
+// --- Device::capture helper (device.hpp) ------------------------------------
 
-TEST(CaptureIntoAdapter, DefaultFallbackMatchesCaptureBitwise) {
+TEST(CaptureHelper, MatchesCaptureIntoBitwise) {
   StubDevice a;
   StubDevice b;
-  const dsp::Buffer expect = a.capture(256);
+  const dsp::Buffer expect = a.capture(256);  // helper: allocate + capture_into
   dsp::Buffer out(256);
-  b.capture_into(out);  // default adapter: capture() + copy
+  b.capture_into(out);
   ASSERT_EQ(expect.size(), out.size());
   for (std::size_t k = 0; k < out.size(); ++k) EXPECT_EQ(expect[k], out[k]);
   EXPECT_EQ(a.capture_calls(), b.capture_calls());
   EXPECT_DOUBLE_EQ(a.stream_time_s(), b.stream_time_s());
 }
 
-TEST(CaptureIntoAdapter, EmptySpanIsSafeNoOp) {
+TEST(CaptureHelper, ZeroCountIsSafeNoOp) {
   StubDevice dev;
-  dsp::Buffer out;
-  dev.capture_into(std::span<dsp::Sample>(out.data(), 0));
-  // The adapter still routes through capture(0): one call, zero samples,
-  // zero stream-time advance, no write.
+  // The helper still routes through capture_into: one call, zero samples,
+  // zero stream-time advance.
+  EXPECT_TRUE(dev.capture(0).empty());
   EXPECT_EQ(dev.capture_calls(), 1);
   EXPECT_DOUBLE_EQ(dev.stream_time_s(), 0.0);
 }
 
-TEST(CaptureIntoAdapter, RepeatedRoundTripsStayAligned) {
+TEST(CaptureHelper, RepeatedRoundTripsStayAligned) {
   // Property-style: for several sizes, twin stubs driven through the two
   // paths never diverge.
   StubDevice a;
@@ -223,8 +220,12 @@ TEST(FaultDevice, InjectsScriptedCaptureFaults) {
                                 std::move(schedule), 1);
 
   EXPECT_THROW((void)dev.capture(128), std::runtime_error);  // op 0
-  const dsp::Buffer short_read = dev.capture(128);           // op 1
-  EXPECT_EQ(short_read.size(), 64u);
+  // op 1: the helper's zero-filled buffer keeps a zero tail past the head.
+  const dsp::Buffer short_read = dev.capture(128);
+  ASSERT_EQ(short_read.size(), 128u);
+  for (std::size_t k = 0; k < 64; ++k)
+    ASSERT_EQ(short_read[k], dsp::Sample(0.25f, -static_cast<float>(k)));
+  for (std::size_t k = 64; k < 128; ++k) ASSERT_EQ(short_read[k], dsp::Sample{});
   const dsp::Buffer nans = dev.capture(128);  // op 2
   ASSERT_EQ(nans.size(), 128u);
   for (const auto& s : nans) {
@@ -250,6 +251,30 @@ TEST(FaultDevice, ShortReadOnCaptureIntoLeavesTailStale) {
   // Head (25%) freshly written, tail still holds the caller's stale data.
   EXPECT_NE(out[0], sentinel);
   for (std::size_t k = 25; k < out.size(); ++k) ASSERT_EQ(out[k], sentinel);
+}
+
+TEST(FaultDevice, ShortReadInATvSweepReadsThePreviousChannelsTail) {
+  // The meter captures every channel into one buffer, and capture_into
+  // reports no sample count, so a short read on channel 1 leaves channel 0's
+  // samples in the tail and the reading mixes the two (DESIGN.md §11).
+  const auto world = sc::make_world(kSeed);
+  const auto channels = sc::figure4_channels();
+  const auto sweep = [&](std::vector<sdr::FaultSpec> schedule) {
+    sdr::FaultInjectingDevice dev(
+        sc::make_owned_node(sc::Site::kRooftop, world, kSeed), std::move(schedule), 1);
+    return tv::PowerMeter().sweep(dev, channels);
+  };
+  const auto clean = sweep({});
+  const auto faulted =
+      sweep({{sdr::FaultOp::kCapture, sdr::FaultKind::kShortRead, 1, 1, 0.5, 1.0}});
+  const auto linear = [](double db) { return std::pow(10.0, db / 10.0); };
+  EXPECT_EQ(faulted[0].power_dbfs, clean[0].power_dbfs);
+  EXPECT_NEAR(faulted[1].power_dbfs,
+              10.0 * std::log10(0.5 * (linear(clean[0].power_dbfs) +
+                                       linear(clean[1].power_dbfs))),
+              0.1);
+  // Channel 0 is the stronger, so the leak raises channel 1's reading.
+  EXPECT_GT(faulted[1].power_dbfs, clean[1].power_dbfs + 3.0);
 }
 
 TEST(FaultDevice, TuneRefusalAndSilentGainDrift) {
@@ -330,6 +355,31 @@ TEST(FaultProfile, BuiltinsAndJsonRoundTrip) {
     EXPECT_NE(std::string(e.what()).find("FaultProfile.nodes[1].index"),
               std::string::npos);
   }
+  // A kind its op can never fire (DESIGN.md §11 taxonomy), or a stall too
+  // long to sleep, is refused naming the field, in a profile and in a
+  // schedule handed to the device directly.
+  const std::pair<const char*, const char*> refused[] = {
+      {R"({"op":"capture","kind":"tune_refuse"})", "kind"},
+      {R"({"op":"capture","kind":"gain_drift"})", "kind"},
+      {R"({"op":"gain","kind":"throw"})", "kind"},
+      {R"({"op":"tune","kind":"nan"})", "kind"},
+      {R"({"op":"capture","kind":"stall","param":1e300})", "param"}};
+  for (const auto& [fault, field] : refused) {
+    try {
+      (void)sdr::make_fault_profile(
+          std::string(R"({"nodes":[{"index":0,"faults":[)") + fault + "]}]}");
+      FAIL() << "expected invalid_argument for " << fault;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    std::string("FaultProfile.nodes[0].faults[0].") + field),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(sdr::FaultInjectingDevice(
+                   std::make_unique<StubDevice>(),
+                   {{sdr::FaultOp::kCapture, sdr::FaultKind::kTuneRefuse, 0, 1, 0.0, 1.0}}),
+               std::invalid_argument);
 }
 
 // --- Retry / backoff / deadline / quarantine --------------------------------

@@ -3,6 +3,7 @@
 // job builds exactly this binary).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <sstream>
 #include <thread>
@@ -59,9 +60,9 @@ class UntunableDevice final : public sdr::Device {
   void set_gain_mode(sdr::GainMode) override {}
   void set_gain_db(double gain_db) override { gain_db_ = gain_db; }
   [[nodiscard]] double gain_db() const override { return gain_db_; }
-  [[nodiscard]] speccal::dsp::Buffer capture(std::size_t count) override {
-    stream_time_s_ += static_cast<double>(count) / 2e6;
-    return speccal::dsp::Buffer(count);  // silence
+  void capture_into(std::span<speccal::dsp::Sample> out) override {
+    std::fill(out.begin(), out.end(), speccal::dsp::Sample{});  // silence
+    stream_time_s_ += static_cast<double>(out.size()) / 2e6;
   }
   [[nodiscard]] double stream_time_s() const override { return stream_time_s_; }
   [[nodiscard]] double center_freq_hz() const override { return 100e6; }
