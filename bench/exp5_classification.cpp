@@ -5,7 +5,8 @@
 // Runs the full calibration pipeline at all three sites twice: once with
 // honest operator claims and once with inflated ones (claims outdoor +
 // omnidirectional + 100 MHz - 6 GHz), and prints classification, trust
-// scores and the findings that justify them.
+// scores and the findings that justify them. Exits 1 when the shape check
+// at the end fails (a ctest entry runs it).
 #include <iostream>
 
 #include "scenario/testbed.hpp"
@@ -42,10 +43,27 @@ int main() {
 
   util::Table table({"node", "classified as", "conf", "trust", "violations"});
   std::vector<calib::CalibrationReport> reports;
+  bool shape_ok = true;
   for (auto site : {scenario::Site::kRooftop, scenario::Site::kWindow,
                     scenario::Site::kIndoor}) {
     for (bool inflated : {false, true}) {
       auto report = run(site, inflated, world);
+      const auto type = report.classification.type;
+      switch (site) {
+        case scenario::Site::kRooftop:
+          shape_ok &= !report.classification.indoor();
+          break;
+        case scenario::Site::kWindow:
+          shape_ok &= type == calib::InstallationType::kIndoorWindow;
+          break;
+        case scenario::Site::kIndoor:
+          shape_ok &= type == calib::InstallationType::kIndoorDeep;
+          break;
+      }
+      // Honest claims hold everywhere; inflated ones are caught off the roof.
+      if (!inflated) shape_ok &= report.trust.violations() == 0;
+      else if (site != scenario::Site::kRooftop)
+        shape_ok &= report.trust.violations() > 0;
       table.add_row({report.claims.node_id,
                      calib::to_string(report.classification.type),
                      util::format_fixed(report.classification.confidence, 2),
@@ -81,5 +99,5 @@ int main() {
   std::cout << "\nShape check: the rooftop node classifies outdoor, the window\n"
                "node indoor-window, the interior node indoor-deep; inflated\n"
                "claims are caught at the window and indoor sites.\n";
-  return 0;
+  return shape_ok ? 0 : 1;
 }

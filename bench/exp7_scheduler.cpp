@@ -28,15 +28,15 @@ std::vector<calib::TrafficForecast> diurnal_profile() {
 }
 
 double naive_coverage(const std::vector<calib::TrafficForecast>& profile,
-                      std::size_t budget, const calib::ScheduleConfig& cfg) {
+                      std::size_t budget) {
   // Every floor(24/budget) hours, regardless of traffic.
   double miss = 1.0;
   const std::size_t stride = profile.size() / budget;
   for (std::size_t i = 0; i < budget; ++i) {
     const auto& f = profile[(i * stride) % profile.size()];
     const double aircraft =
-        f.flights_per_hour * (cfg.window_s / 3600.0) + f.flights_per_hour * 0.2;
-    miss *= 1.0 - calib::expected_sector_coverage(aircraft, cfg.azimuth_sectors);
+        f.flights_per_hour * (calib::kMeasurementWindowS / 3600.0) + f.flights_per_hour * 0.2;
+    miss *= 1.0 - calib::expected_sector_coverage(aircraft, calib::kAzimuthSectors);
   }
   return 1.0 - miss;
 }
@@ -71,7 +71,7 @@ int main() {
     const auto s = calib::WindowPlanner(c).plan(profile);
     std::cout << "budget " << budget << " windows: greedy "
               << util::format_fixed(s.expected_total_coverage, 3) << " vs naive "
-              << util::format_fixed(naive_coverage(profile, budget, c), 3) << "\n";
+              << util::format_fixed(naive_coverage(profile, budget), 3) << "\n";
   }
 
   // Validate the coverage model against the sky simulator: how many of the

@@ -8,6 +8,8 @@
 // Sweeps a matrix of CBSD registrations (honest and dishonest combinations
 // of siting, category and location) against calibration evidence at the
 // three testbed sites and prints the SAS-side verdicts and EIRP grants.
+// Exits 1 unless exactly the honest registrations and "rooftop claiming
+// indoor" verify (a ctest entry runs it).
 #include <iostream>
 
 #include "cbrs/verify.hpp"
@@ -42,16 +44,24 @@ int main() {
     bool claims_indoor;
     cbrs::Category category;
     double false_location_km;  // 0 = honest coordinates
+    bool should_verify;        // the shape check's expected verdict
   };
   const Case cases[] = {
-      {"honest indoor Cat A", scenario::Site::kIndoor, true, cbrs::Category::kA, 0},
-      {"indoor claiming outdoor", scenario::Site::kIndoor, false, cbrs::Category::kA, 0},
-      {"honest rooftop Cat A", scenario::Site::kRooftop, false, cbrs::Category::kA, 0},
-      {"window claiming Cat B", scenario::Site::kWindow, false, cbrs::Category::kB, 0},
+      {"honest indoor Cat A", scenario::Site::kIndoor, true, cbrs::Category::kA, 0, true},
+      {"indoor claiming outdoor", scenario::Site::kIndoor, false, cbrs::Category::kA, 0,
+       false},
+      {"honest rooftop Cat A", scenario::Site::kRooftop, false, cbrs::Category::kA, 0,
+       true},
+      {"window claiming Cat B", scenario::Site::kWindow, false, cbrs::Category::kB, 0,
+       false},
       {"rooftop, faked coordinates", scenario::Site::kRooftop, false,
-       cbrs::Category::kA, 25.0},
-      {"rooftop claiming indoor", scenario::Site::kRooftop, true, cbrs::Category::kA, 0},
+       cbrs::Category::kA, 25.0, false},
+      // An indoor claim from an outdoor siting overstates nothing, so it
+      // verifies.
+      {"rooftop claiming indoor", scenario::Site::kRooftop, true, cbrs::Category::kA, 0,
+       true},
   };
+  bool shape_ok = true;
 
   util::Table table({"case", "verdict", "EIRP grant dBm", "violations",
                      "loc err (median) km"});
@@ -70,6 +80,7 @@ int main() {
     reg.max_eirp_dbm = c.category == cbrs::Category::kB ? cbrs::kCatBMaxEirpDbm
                                                         : cbrs::kCatAMaxEirpDbm;
     const auto result = verifier.verify(reg, report);
+    shape_ok &= (result.verdict == cbrs::Verdict::kVerified) == c.should_verify;
 
     int violations = 0;
     for (const auto& f : result.findings) violations += f.violation ? 1 : 0;
@@ -96,5 +107,5 @@ int main() {
                "attempts — outdoor claims from indoor sites, Category B from a\n"
                "window, faked coordinates — are caught from the same ADS-B +\n"
                "cellular + TV evidence the paper's calibration collects.\n";
-  return 0;
+  return shape_ok ? 0 : 1;
 }

@@ -7,9 +7,9 @@
 //   rooftop : all 5 towers decode with high RSRP,
 //   window  : towers 1-3 decode (attenuated), towers 4-5 (2660/2680) lost,
 //   indoor  : only tower 1 (731 MHz penetrates), everything else lost.
+// Exits 1 when any shape check fails (a ctest entry runs it).
 #include <iostream>
 #include <vector>
-#include <algorithm>
 
 #include "cellular/pss.hpp"
 #include "cellular/scanner.hpp"
@@ -106,24 +106,20 @@ int main() {
               << results.size() << "\n";
   }
 
+  // Which towers a site decodes, tower 1 first.
+  const auto decodes = [&](std::size_t site, std::vector<bool> expected) {
+    for (std::size_t t = 0; t < expected.size(); ++t)
+      if (columns[site].scan[t].decoded != expected[t]) return false;
+    return true;
+  };
+  const bool rooftop_all = decodes(0, {true, true, true, true, true});
+  const bool window_1_3 = decodes(1, {true, true, true, false, false});
+  const bool indoor_1 = decodes(2, {true, false, false, false, false});
+  const auto verdict = [](bool ok) { return ok ? "YES" : "NO"; };
   std::cout << "\nShape check vs paper (Fig. 3):\n"
-            << "  rooftop decodes all 5 towers          : "
-            << (std::all_of(columns[0].scan.begin(), columns[0].scan.end(),
-                            [](const auto& m) { return m.decoded; })
-                    ? "YES"
-                    : "NO")
-            << "\n  window decodes exactly towers 1-3     : "
-            << ((columns[1].scan[0].decoded && columns[1].scan[1].decoded &&
-                 columns[1].scan[2].decoded && !columns[1].scan[3].decoded &&
-                 !columns[1].scan[4].decoded)
-                    ? "YES"
-                    : "NO")
-            << "\n  indoor decodes only tower 1 (731 MHz) : "
-            << ((columns[2].scan[0].decoded && !columns[2].scan[1].decoded &&
-                 !columns[2].scan[2].decoded && !columns[2].scan[3].decoded &&
-                 !columns[2].scan[4].decoded)
-                    ? "YES"
-                    : "NO")
+            << "  rooftop decodes all 5 towers          : " << verdict(rooftop_all)
+            << "\n  window decodes exactly towers 1-3     : " << verdict(window_1_3)
+            << "\n  indoor decodes only tower 1 (731 MHz) : " << verdict(indoor_1)
             << "\n";
-  return 0;
+  return rooftop_all && window_1_3 && indoor_1 ? 0 : 1;
 }

@@ -211,8 +211,8 @@ int main(int argc, char** argv) {
   calib::RunConfig run;
   run.pipeline = cfg;
   run.executor.threads = threads;
+  run.executor.trace = trace ? &*trace : nullptr;
   calib::FleetConfig fleet_cfg;
-  fleet_cfg.trace = trace ? &*trace : nullptr;
   fleet_cfg.on_progress = [&metrics_out, &sampler](const calib::FleetProgress& p) {
     // Per-node lines for small fleets; at 1000-node scale print a heartbeat
     // every 100 nodes (plus aborts/quarantines, which are always notable).

@@ -37,7 +37,7 @@ int main() {
   const monitor::SpectrumScanner scanner(scan_cfg);
   // Warm the shared plan cache once; every node's Welch PSD (and any other
   // transform of the same size, fleet-wide) reuses this table.
-  (void)dsp::PlanCache::shared().plan_f32(scan_cfg.welch.segment_size);
+  (void)dsp::PlanCache::shared().plan_f32(monitor::kScanWelch.segment_size);
   monitor::RemConfig gated_config;
   gated_config.min_trust = 0.5;              // calibration gate
   monitor::RadioEnvironmentMap gated_map(gated_config);

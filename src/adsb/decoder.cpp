@@ -8,8 +8,17 @@
 
 namespace speccal::adsb {
 
-Decoder::Decoder(DecoderConfig config)
-    : config_(config), demod_(config.demod) {}
+namespace {
+
+/// Even/odd messages further apart than this cannot be paired (DO-260
+/// uses 10 s for airborne decoding).
+constexpr double kCprPairMaxAgeS = 10.0;
+/// Forget aircraft unseen for this long.
+constexpr double kAircraftTimeoutS = 120.0;
+
+}  // namespace
+
+Decoder::Decoder(DecoderConfig config) : demod_(config.demod) {}
 
 std::vector<Frame> Decoder::feed(std::span<const dsp::Sample> samples,
                                  double start_time_s) {
@@ -91,7 +100,7 @@ void Decoder::ingest(const Frame& frame, const Detection& det, double time_s) {
     // Global decode when we hold a fresh even/odd pair.
     if (ac.last_even && ac.last_odd &&
         std::fabs(ac.last_even_time_s - ac.last_odd_time_s) <=
-            config_.cpr_pair_max_age_s) {
+            kCprPairMaxAgeS) {
       const bool recent_odd = ac.last_odd_time_s >= ac.last_even_time_s;
       if (auto fix = cpr_global_decode(*ac.last_even, *ac.last_odd, recent_odd)) {
         geo::Geodetic p{fix->lat_deg, fix->lon_deg, 0.0};
@@ -133,7 +142,7 @@ const AircraftState* Decoder::find(std::uint32_t icao) const noexcept {
 
 void Decoder::prune(double now_s) {
   std::erase_if(table_, [&](const auto& entry) {
-    return now_s - entry.second.last_seen_s > config_.aircraft_timeout_s;
+    return now_s - entry.second.last_seen_s > kAircraftTimeoutS;
   });
 }
 

@@ -52,11 +52,6 @@ struct AircraftState {
 
 struct DecoderConfig {
   DemodConfig demod;
-  /// Even/odd messages further apart than this cannot be paired (DO-260
-  /// uses 10 s for airborne decoding).
-  double cpr_pair_max_age_s = 10.0;
-  /// Forget aircraft unseen for this long.
-  double aircraft_timeout_s = 120.0;
 };
 
 /// Streaming decoder. Feed I/Q blocks with their capture timestamps; the
@@ -88,7 +83,6 @@ class Decoder {
  private:
   void ingest(const Frame& frame, const Detection& det, double time_s);
 
-  DecoderConfig config_;
   PpmDemodulator demod_;
   std::map<std::uint32_t, AircraftState> table_;
   dsp::Buffer overlap_;        // tail of the previous block

@@ -37,8 +37,6 @@ class GroundTruthService {
   [[nodiscard]] std::vector<FlightRecord> query(const geo::Geodetic& center,
                                                 double radius_m, double t_s) const;
 
-  [[nodiscard]] double latency_s() const noexcept { return latency_s_; }
-
  private:
   const SkySimulator& sky_;
   double latency_s_;

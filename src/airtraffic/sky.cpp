@@ -10,6 +10,12 @@ namespace speccal::airtraffic {
 
 namespace {
 
+constexpr double kMinAltitudeFt = 3000.0;
+constexpr double kMaxAltitudeFt = 40000.0;
+/// Fraction of aircraft flying roughly toward/away from the center
+/// (an airport corridor effect); the rest fly uniform random tracks.
+constexpr double kCorridorFraction = 0.3;
+
 /// Synthesize an airline-style callsign from the fleet index.
 [[nodiscard]] std::string make_callsign(util::Rng& rng, std::size_t index) {
   static constexpr const char* kAirlines[] = {"UAL", "DAL", "AAL", "SWA", "JBU",
@@ -32,10 +38,9 @@ SkySimulator::SkySimulator(SkyConfig config, std::uint64_t seed) : center_(confi
     const double bearing = rng.uniform(0.0, 360.0);
     const double range = std::sqrt(rng.uniform()) * config.radius_m;
     spec.start = geo::destination(config.center, bearing, range);
-    spec.start.alt_m = adsb::feet_to_m(
-        rng.uniform(config.min_altitude_ft, config.max_altitude_ft));
+    spec.start.alt_m = adsb::feet_to_m(rng.uniform(kMinAltitudeFt, kMaxAltitudeFt));
 
-    if (rng.chance(config.corridor_fraction)) {
+    if (rng.chance(kCorridorFraction)) {
       // Fly along the radial (inbound or outbound corridor).
       const double radial = geo::bearing_deg(config.center, spec.start);
       spec.track_deg = util::wrap_degrees(rng.chance(0.5) ? radial : radial + 180.0);
@@ -44,7 +49,7 @@ SkySimulator::SkySimulator(SkyConfig config, std::uint64_t seed) : center_(confi
     }
     spec.track_deg = util::wrap_degrees(spec.track_deg + rng.normal(0.0, 10.0));
 
-    spec.ground_speed_kt = rng.uniform(config.min_speed_kt, config.max_speed_kt);
+    spec.ground_speed_kt = rng.uniform(kMinSpeedKt, kMaxSpeedKt);
     spec.vertical_rate_fpm =
         rng.chance(0.25) ? rng.uniform(-2000.0, 2000.0) : 0.0;
     // 75..500 W transponders, uniform in dB.

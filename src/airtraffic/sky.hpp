@@ -24,17 +24,14 @@ struct TransmissionEvent {
   double cfo_hz = 0.0;
 };
 
+/// Ground-speed range of the generated fleet [kt].
+inline constexpr double kMinSpeedKt = 220.0;
+inline constexpr double kMaxSpeedKt = 490.0;
+
 struct SkyConfig {
   geo::Geodetic center;          // the sensor site
   double radius_m = 120e3;       // aircraft generated within this disk
   std::size_t aircraft_count = 60;
-  double min_altitude_ft = 3000.0;
-  double max_altitude_ft = 40000.0;
-  double min_speed_kt = 220.0;
-  double max_speed_kt = 490.0;
-  /// Fraction of aircraft flying roughly toward/away from the center
-  /// (an airport corridor effect); the rest fly uniform random tracks.
-  double corridor_fraction = 0.3;
 };
 
 /// Deterministic sky: builds the fleet from (config, seed) and can list

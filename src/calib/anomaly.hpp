@@ -14,13 +14,13 @@
 //      from masquerading as interference; when positions are unavailable
 //      the detector degrades to the plain fleet median.
 //   2. Residual — one-sided: only a node *hotter* than its consensus by
-//      residual_threshold_db flags (a cold band is a sensitivity/health
-//      problem, HealthMonitor's beat).
+//      6 dB flags (a cold band is a sensitivity/health problem,
+//      HealthMonitor's beat).
 //   3. Typing — flagged bands are classified with the lag-1
 //      autocorrelation occupancy cross-check (monitor::, dsp::):
 //        * any "adsb-*" watch band hot            -> kGhostAdsb
 //        * any "cell-*" watch band hot            -> kRoguePss
-//        * >= jammer_min_bands TV channels hot    -> kWidebandJammer
+//        * >= 3 TV channels hot                   -> kWidebandJammer
 //        * exactly 2 TV channels hot, coherent    -> kIntermodPair
 //        * 1 TV channel hot                       -> kSpuriousEmitter
 //      (rho ~1 = coherent carrier; ATSC sits near 0.4; wideband noise
@@ -45,29 +45,6 @@ class Registry;
 }
 
 namespace speccal::calib {
-
-struct AnomalyConfig {
-  /// One-sided residual above the neighbor consensus that flags a band.
-  double residual_threshold_db = 6.0;
-  /// Gaussian distance kernel scale for neighbor weighting [m]. The
-  /// testbed's sites sit 22-25 m apart; sigma = 5 makes co-sited peers
-  /// (shared multipath environment) dominate the consensus so the large
-  /// rooftop-vs-indoor propagation spread never reads as an anomaly.
-  double distance_sigma_m = 5.0;
-  /// Minimum nodes reporting a band before its consensus counts
-  /// (HealthMonitor convention), and minimum summed neighbor weight per
-  /// node when geographic weighting is active.
-  std::size_t min_band_population = 3;
-  double min_neighbor_weight = 1.5;
-  /// Lag-1 |rho| at or above which a flagged TV band counts as coherent.
-  double cw_rho_threshold = 0.6;
-  /// Hot TV channels at or above which a node types as a wideband jammer.
-  std::size_t jammer_min_bands = 3;
-
-  /// Throws std::invalid_argument naming the field (shared validation
-  /// convention, DESIGN.md §13).
-  void validate() const;
-};
 
 enum class AnomalyKind : std::uint8_t {
   kWidebandJammer,
@@ -118,11 +95,6 @@ struct AnomalyReport {
 
 class AnomalyDetector {
  public:
-  /// Throws if `config` fails validate().
-  explicit AnomalyDetector(AnomalyConfig config = {});
-
-  [[nodiscard]] const AnomalyConfig& config() const noexcept { return config_; }
-
   /// Evaluate every node currently in the registry against the fleet
   /// consensus. Pure read: the registry and its reports are unchanged.
   [[nodiscard]] AnomalyReport evaluate(const NodeRegistry& registry) const;
@@ -136,9 +108,6 @@ class AnomalyDetector {
   /// nodes are never touched, so a clean fleet's reports stay
   /// byte-identical to a run without anomaly detection.
   void annotate(NodeRegistry& registry, const AnomalyReport& report) const;
-
- private:
-  AnomalyConfig config_;
 };
 
 }  // namespace speccal::calib

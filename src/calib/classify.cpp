@@ -19,6 +19,13 @@ std::string to_string(InstallationType type) {
 }
 
 namespace {
+
+constexpr double kOpenFovFraction = 0.6;     // >= this open fraction looks outdoor-open
+constexpr double kNarrowFovFraction = 0.25;  // <= this looks window/indoor
+constexpr double kLowBandOkDb = 15.0;        // low band attenuation of an outdoor node
+constexpr double kMidBandDeadDb = 30.0;      // mid band attenuation typical of indoor
+constexpr double kIndoorSlopeDbPerDecade = 8.0;  // rising attenuation vs frequency
+
 [[nodiscard]] const BandQuality* find_class(const FrequencyResponseReport& freq,
                                             cellular::SpectrumClass cls) noexcept {
   for (const auto& bq : freq.bands)
@@ -35,8 +42,7 @@ namespace {
 }  // namespace
 
 Classification classify_installation(const FovEstimate& fov,
-                                     const FrequencyResponseReport& freq,
-                                     const ClassifierConfig& config) {
+                                     const FrequencyResponseReport& freq) {
   Classification out;
 
   const double open_frac = fov.open_fraction_deg;
@@ -51,19 +57,19 @@ Classification classify_installation(const FovEstimate& fov,
                                : (mid ? 60.0 : 0.0);
   const bool mid_dead = mid != nullptr &&
                         (mid->sources_received == 0 ||
-                         mid->mean_attenuation_db >= config.mid_band_dead_db);
+                         mid->mean_attenuation_db >= kMidBandDeadDb);
   const bool rising_slope =
-      freq.attenuation_slope_db_per_decade >= config.indoor_slope_db_per_decade;
+      freq.attenuation_slope_db_per_decade >= kIndoorSlopeDbPerDecade;
 
   // Evidence scores per hypothesis; the max wins, the margin is confidence.
   double outdoor_open = 0.0, outdoor_partial = 0.0, window = 0.0, deep = 0.0;
 
-  if (open_frac >= config.open_fov_fraction) {
+  if (open_frac >= kOpenFovFraction) {
     outdoor_open += 2.0;
     out.rationale.push_back("wide ADS-B field of view (" +
                             std::to_string(static_cast<int>(open_frac * 100.0)) +
                             "% of horizon open)");
-  } else if (open_frac <= config.narrow_fov_fraction) {
+  } else if (open_frac <= kNarrowFovFraction) {
     window += 1.0;
     deep += 1.5;
     out.rationale.push_back("narrow ADS-B field of view");
@@ -72,7 +78,7 @@ Classification classify_installation(const FovEstimate& fov,
     out.rationale.push_back("partially open ADS-B field of view");
   }
 
-  if (low_atten <= config.low_band_ok_db) {
+  if (low_atten <= kLowBandOkDb) {
     outdoor_open += 1.0;
     outdoor_partial += 1.0;
     window += 0.5;  // low band often survives glass/walls
@@ -87,7 +93,7 @@ Classification classify_installation(const FovEstimate& fov,
     deep += 2.0;
     window += 1.0;
     out.rationale.push_back("mid-band sources undecodable or heavily attenuated");
-  } else if (mid_atten > config.low_band_ok_db) {
+  } else if (mid_atten > kLowBandOkDb) {
     window += 1.5;
     out.rationale.push_back("mid-band attenuated by " + format_db(mid_atten) +
                             " (glass/penetration signature)");
@@ -108,16 +114,16 @@ Classification classify_installation(const FovEstimate& fov,
   // Distinguish window from deep indoor: a window keeps a usable slice of
   // the horizon together with the glass's mid-band attenuation signature;
   // deep indoor loses the horizon entirely.
-  if (open_frac > 0.03 && open_frac <= config.narrow_fov_fraction &&
-      mid_atten > config.low_band_ok_db)
+  if (open_frac > 0.03 && open_frac <= kNarrowFovFraction &&
+      mid_atten > kLowBandOkDb)
     window += 1.0;
   if (open_frac <= 0.03) deep += 1.0;
 
   // A screened-but-clean node (narrow ADS-B view yet clear-sky reception in
   // both bands) is an outdoor installation behind structures, not an indoor
   // one — indoor siting always leaves a spectral fingerprint.
-  if (!mid_dead && mid_atten <= config.low_band_ok_db &&
-      low_atten <= config.low_band_ok_db)
+  if (!mid_dead && mid_atten <= kLowBandOkDb &&
+      low_atten <= kLowBandOkDb)
     outdoor_partial += 1.0;
 
   const std::array<std::pair<InstallationType, double>, 4> scores = {{

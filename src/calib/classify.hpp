@@ -36,17 +36,8 @@ struct Classification {
   }
 };
 
-struct ClassifierConfig {
-  double open_fov_fraction = 0.6;     // >= this open fraction looks outdoor-open
-  double narrow_fov_fraction = 0.25;  // <= this looks window/indoor
-  double low_band_ok_db = 15.0;       // low band attenuation of an outdoor node
-  double mid_band_dead_db = 30.0;     // mid band attenuation typical of indoor
-  double indoor_slope_db_per_decade = 8.0;  // rising attenuation vs frequency
-};
-
 /// Rule-based fusion of both evidence sources.
 [[nodiscard]] Classification classify_installation(const FovEstimate& fov,
-                                                   const FrequencyResponseReport& freq,
-                                                   const ClassifierConfig& config = {});
+                                                   const FrequencyResponseReport& freq);
 
 }  // namespace speccal::calib

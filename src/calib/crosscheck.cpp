@@ -5,8 +5,20 @@
 
 namespace speccal::calib {
 
-CrossCheckReport cross_check(const std::vector<NodeSurvey>& nodes,
-                             const CrossCheckConfig& config) {
+namespace {
+
+/// Only aircraft inside this range band carry cross-check evidence
+/// (nearer: received regardless; farther: marginal for everyone).
+constexpr double kMinRangeKm = 25.0;
+constexpr double kMaxRangeKm = 85.0;
+/// An aircraft is "corroborated" when at least this many peers saw it.
+constexpr std::size_t kMinCorroborators = 1;
+/// Suspicion above this marks the node an outlier.
+constexpr double kOutlierThreshold = 0.5;
+
+}  // namespace
+
+CrossCheckReport cross_check(const std::vector<NodeSurvey>& nodes) {
   CrossCheckReport report;
 
   // Which nodes received each aircraft (by ICAO).
@@ -20,7 +32,7 @@ CrossCheckReport cross_check(const std::vector<NodeSurvey>& nodes,
     consistency.node_id = nodes[n].node_id;
 
     for (const auto& obs : nodes[n].survey.observations) {
-      if (obs.range_km < config.min_range_km || obs.range_km > config.max_range_km)
+      if (obs.range_km < kMinRangeKm || obs.range_km > kMaxRangeKm)
         continue;
       // Only directions this node itself claims to see are checked.
       if (!nodes[n].fov.open_sectors.contains(obs.azimuth_deg)) continue;
@@ -29,7 +41,7 @@ CrossCheckReport cross_check(const std::vector<NodeSurvey>& nodes,
       if (const auto it = receivers.find(obs.icao); it != receivers.end())
         for (std::size_t other : it->second)
           if (other != n) ++peers;
-      if (peers < config.min_corroborators) continue;
+      if (peers < kMinCorroborators) continue;
 
       ++consistency.expected;
       if (!obs.received) ++consistency.missed;
@@ -39,7 +51,7 @@ CrossCheckReport cross_check(const std::vector<NodeSurvey>& nodes,
       consistency.suspicion = static_cast<double>(consistency.missed) /
                               static_cast<double>(consistency.expected);
     consistency.outlier = consistency.expected >= 3 &&
-                          consistency.suspicion > config.outlier_threshold;
+                          consistency.suspicion > kOutlierThreshold;
     report.nodes.push_back(std::move(consistency));
   }
 

@@ -24,17 +24,6 @@ struct NodeSurvey {
   FovEstimate fov;
 };
 
-struct CrossCheckConfig {
-  /// Only aircraft inside this range band carry cross-check evidence
-  /// (nearer: received regardless; farther: marginal for everyone).
-  double min_range_km = 25.0;
-  double max_range_km = 85.0;
-  /// An aircraft is "corroborated" when at least this many peers saw it.
-  std::size_t min_corroborators = 1;
-  /// Suspicion above this marks the node an outlier.
-  double outlier_threshold = 0.5;
-};
-
 struct NodeConsistency {
   std::string node_id;
   /// Aircraft in the node's open sectors + range band that >= 1 peer saw.
@@ -54,7 +43,6 @@ struct CrossCheckReport {
 };
 
 /// Run the mutual check over surveys taken against the same sky/window.
-[[nodiscard]] CrossCheckReport cross_check(const std::vector<NodeSurvey>& nodes,
-                                           const CrossCheckConfig& config = {});
+[[nodiscard]] CrossCheckReport cross_check(const std::vector<NodeSurvey>& nodes);
 
 }  // namespace speccal::calib

@@ -23,16 +23,12 @@ PipelineConfig validated_pipeline(const RunConfig& run) {
 
 }  // namespace
 
-FleetCalibrator::FleetCalibrator(CalibrationPipeline pipeline, FleetConfig config)
-    : pipeline_(std::move(pipeline)), config_(std::move(config)) {}
-
 FleetCalibrator::FleetCalibrator(WorldModel world, RunConfig run,
                                  FleetConfig fleet)
     : pipeline_(std::move(world), validated_pipeline(run)),
       config_(std::move(fleet)),
-      threads_(run.executor.threads) {
-  if (config_.trace == nullptr) config_.trace = run.executor.trace;
-}
+      threads_(run.executor.threads),
+      trace_(run.executor.trace) {}
 
 unsigned FleetCalibrator::effective_threads(std::size_t jobs) const noexcept {
   unsigned threads = threads_;
@@ -51,7 +47,7 @@ FleetSummary FleetCalibrator::run(std::vector<FleetJob> jobs, NodeRegistry& regi
 
   obs::Registry::global().counter("speccal_fleet_batches_total").add();
   const unsigned threads = effective_threads(jobs.size());
-  obs::Span run_span(config_.trace, "fleet_run", "fleet");
+  obs::Span run_span(trace_, "fleet_run", "fleet");
   run_span.arg("jobs", static_cast<std::int64_t>(jobs.size()));
   run_span.arg("threads", static_cast<std::int64_t>(threads));
 
@@ -113,7 +109,7 @@ FleetSummary FleetCalibrator::run(std::vector<FleetJob> jobs, NodeRegistry& regi
             if (st.device == nullptr)
               throw std::runtime_error("device factory returned null");
             st.plan.emplace(
-                pipeline_.plan(*st.device, job.claims, st.report, config_.trace));
+                pipeline_.plan(*st.device, job.claims, st.report, trace_));
           } catch (const std::exception& e) {
             fail(st, e.what());
           } catch (...) {
@@ -192,10 +188,7 @@ FleetSummary FleetCalibrator::run(std::vector<FleetJob> jobs, NodeRegistry& regi
           const std::scoped_lock lock(book_mutex);
           ++completed;
           fleet_metrics.push_back(metrics);
-          if (!ok) {
-            ++summary.failed;
-            summary.failures.push_back({job.claims.node_id, st.error});
-          }
+          if (!ok) ++summary.failed;
           summary.faults += node_tally;
           if (config.on_progress) {
             FleetProgress progress;
@@ -213,7 +206,7 @@ FleetSummary FleetCalibrator::run(std::vector<FleetJob> jobs, NodeRegistry& regi
                     stage_ids[static_cast<std::size_t>(specs[k].stage)]);
   }
 
-  StageExecutor executor(ExecutorConfig{threads, config_.trace});
+  StageExecutor executor(ExecutorConfig{threads, trace_});
   summary.executor = executor.run(graph);
 
   summary.calibrated = completed;

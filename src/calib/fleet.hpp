@@ -60,24 +60,10 @@ struct FleetProgress {
 };
 
 /// Fleet-side knobs that are not part of the calibration recipe. The
-/// thread count is NOT here: scheduling belongs to RunConfig::executor
-/// (one spelling per concept), so use the RunConfig constructor to control
-/// parallelism.
+/// thread count and the trace sink are NOT here: scheduling belongs to
+/// RunConfig::executor (one spelling per concept).
 struct FleetConfig {
   std::function<void(const FleetProgress&)> on_progress;
-  /// Optional trace collector (caller-owned, must outlive run()). When set,
-  /// each run() records a root "fleet_run" span, one "task" span per graph
-  /// task (acquire/stage/finalize, labelled "<node>/<stage>", on the worker
-  /// thread that ran it, with a "stolen" flag) and one "stage" span per
-  /// pipeline stage nested inside its task by time containment — the
-  /// Chrome-trace export drops into Perfetto. Null disables tracing at
-  /// zero cost.
-  obs::TraceSession* trace = nullptr;
-};
-
-struct FleetFailure {
-  std::string node_id;
-  std::string error;
 };
 
 /// What a batch did, plus fleet-wide stage timing percentiles.
@@ -91,7 +77,6 @@ struct FleetSummary {
   FaultTally faults;
   double wall_s = 0.0;
   double nodes_per_s = 0.0;
-  std::vector<FleetFailure> failures;
   FleetStageStats stage_stats;
   /// What the stage-graph executor did for this batch (threads used, tasks
   /// run/stolen/failed). tasks_run always covers the whole graph — skipped
@@ -101,16 +86,18 @@ struct FleetSummary {
 
 class FleetCalibrator {
  public:
-  /// Pre-built-pipeline entry point. Runs at hardware concurrency; use the
-  /// RunConfig constructor to control the thread count.
-  explicit FleetCalibrator(CalibrationPipeline pipeline, FleetConfig config = {});
-
-  /// Preferred entry point: build the pipeline from `world` and a
-  /// validated RunConfig (throws std::invalid_argument, naming the field,
-  /// on bad values). RunConfig::executor.threads sets the worker count
-  /// (0 = hardware concurrency, 1 = inline deterministic execution);
-  /// RunConfig::executor.trace fills FleetConfig::trace when the latter is
-  /// null.
+  /// Build the pipeline from `world` and a validated RunConfig (throws
+  /// std::invalid_argument, naming the field, on bad values).
+  /// RunConfig::executor.threads sets the worker count (0 = hardware
+  /// concurrency, 1 = inline deterministic execution).
+  /// RunConfig::executor.trace is an optional trace collector
+  /// (caller-owned, must outlive run()). When set, each run() records a
+  /// root "fleet_run" span, one "task" span per graph task
+  /// (acquire/stage/finalize, labelled "<node>/<stage>", on the worker
+  /// thread that ran it, with a "stolen" flag) and one "stage" span per
+  /// pipeline stage nested inside its task by time containment — the
+  /// Chrome-trace export drops into Perfetto. Null disables tracing at
+  /// zero cost.
   FleetCalibrator(WorldModel world, RunConfig run, FleetConfig fleet = {});
 
   /// Calibrate every job, recording each report into `registry` as it
@@ -122,12 +109,8 @@ class FleetCalibrator {
   /// are skipped. Callable from any thread, including the progress
   /// callback. Cleared at the start of the next run().
   void request_cancel() noexcept { cancel_.store(true, std::memory_order_relaxed); }
-  [[nodiscard]] bool cancel_requested() const noexcept {
-    return cancel_.load(std::memory_order_relaxed);
-  }
 
   [[nodiscard]] const CalibrationPipeline& pipeline() const noexcept { return pipeline_; }
-  [[nodiscard]] const FleetConfig& config() const noexcept { return config_; }
 
   /// Configured worker count (RunConfig::executor.threads; 0 = hardware
   /// concurrency).
@@ -140,6 +123,7 @@ class FleetCalibrator {
   CalibrationPipeline pipeline_;
   FleetConfig config_;
   unsigned threads_ = 0;
+  obs::TraceSession* trace_ = nullptr;
   std::atomic<bool> cancel_{false};
 };
 

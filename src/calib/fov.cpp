@@ -9,6 +9,16 @@ namespace speccal::calib {
 
 namespace {
 
+/// Azimuth histogram bin width (SectorFovEstimator).
+constexpr double kBinWidthDeg = 10.0;
+/// Minimum fraction of received-vs-present far aircraft for an open bin.
+constexpr double kOpenFraction = 0.34;
+/// Bins with fewer far aircraft than this are interpolated from their
+/// neighbours (no traffic != blocked — the paper is explicit about this).
+constexpr std::size_t kMinSamples = 1;
+/// KNN: how strongly far receptions dominate.
+constexpr double kKnnRangeWeight = 0.5;
+
 /// Merge consecutive open bins (wrapping) into maximal sectors.
 geo::SectorSet bins_to_sectors(const std::vector<AzimuthBin>& bins, double bin_width) {
   geo::SectorSet out;
@@ -47,16 +57,16 @@ void finalize(FovEstimate& est, double bin_width) {
 FovEstimate estimate_fov_sectors(const SurveyResult& survey, const FovConfig& config) {
   FovEstimate est;
   const auto bin_count =
-      static_cast<std::size_t>(std::lround(360.0 / config.bin_width_deg));
+      static_cast<std::size_t>(std::lround(360.0 / kBinWidthDeg));
   est.bins.resize(bin_count);
   for (std::size_t i = 0; i < bin_count; ++i)
-    est.bins[i].center_deg = (static_cast<double>(i) + 0.5) * config.bin_width_deg;
+    est.bins[i].center_deg = (static_cast<double>(i) + 0.5) * kBinWidthDeg;
 
   for (const auto& obs : survey.observations) {
     if (obs.range_km < config.near_field_km) continue;
     ++est.usable_observations;
     auto idx = static_cast<std::size_t>(util::wrap_degrees(obs.azimuth_deg) /
-                                        config.bin_width_deg);
+                                        kBinWidthDeg);
     idx = std::min(idx, bin_count - 1);
     AzimuthBin& bin = est.bins[idx];
     ++bin.present;
@@ -68,22 +78,22 @@ FovEstimate estimate_fov_sectors(const SurveyResult& survey, const FovConfig& co
 
   // First pass: verdicts for bins with enough traffic.
   for (auto& bin : est.bins) {
-    if (bin.present >= config.min_samples) {
+    if (bin.present >= kMinSamples) {
       bin.open = static_cast<double>(bin.received) >=
-                 config.open_fraction * static_cast<double>(bin.present);
+                 kOpenFraction * static_cast<double>(bin.present);
     }
   }
   // Second pass: interpolate empty bins from the nearest decided ones
   // (absence of traffic is not evidence of blockage).
   for (std::size_t i = 0; i < bin_count; ++i) {
     AzimuthBin& bin = est.bins[i];
-    if (bin.present >= config.min_samples) continue;
+    if (bin.present >= kMinSamples) continue;
     bin.interpolated = true;
     for (std::size_t step = 1; step <= bin_count / 2; ++step) {
       const AzimuthBin& left = est.bins[(i + bin_count - step) % bin_count];
       const AzimuthBin& right = est.bins[(i + step) % bin_count];
-      const bool left_decided = left.present >= config.min_samples;
-      const bool right_decided = right.present >= config.min_samples;
+      const bool left_decided = left.present >= kMinSamples;
+      const bool right_decided = right.present >= kMinSamples;
       if (left_decided || right_decided) {
         if (left_decided && right_decided)
           bin.open = left.open || right.open;  // optimistic tie-break
@@ -94,7 +104,7 @@ FovEstimate estimate_fov_sectors(const SurveyResult& survey, const FovConfig& co
     }
   }
 
-  finalize(est, config.bin_width_deg);
+  finalize(est, kBinWidthDeg);
   return est;
 }
 
@@ -113,7 +123,7 @@ FovEstimate estimate_fov_knn(const SurveyResult& survey, const FovConfig& config
     ++est.usable_observations;
     // Far receptions are strong evidence of openness; far misses are strong
     // evidence of blockage. Weight grows with range.
-    const double w = 1.0 + config.knn_range_weight * (obs.range_km / 50.0);
+    const double w = 1.0 + kKnnRangeWeight * (obs.range_km / 50.0);
     points.push_back({util::wrap_degrees(obs.azimuth_deg), w, obs.received});
   }
 

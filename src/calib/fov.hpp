@@ -21,16 +21,8 @@ namespace speccal::calib {
 
 struct FovConfig {
   double near_field_km = 25.0;
-  /// Azimuth histogram bin width (SectorFovEstimator).
-  double bin_width_deg = 10.0;
-  /// Minimum fraction of received-vs-present far aircraft for an open bin.
-  double open_fraction = 0.34;
-  /// Bins with fewer far aircraft than this are interpolated from their
-  /// neighbours (no traffic != blocked — the paper is explicit about this).
-  std::size_t min_samples = 1;
-  /// KNN parameters.
+  /// KNN neighbour count.
   int knn_k = 7;
-  double knn_range_weight = 0.5;  // how strongly far receptions dominate
 };
 
 /// Per-bin diagnostics (rendered by the Figure-1 bench).

@@ -7,6 +7,20 @@
 namespace speccal::calib {
 
 namespace {
+
+/// A flat attenuation above this, with low slope and a wide FoV, points
+/// at the RF plumbing rather than the siting.
+constexpr double kCableFaultFloorDb = 6.0;
+/// |attenuation slope| below this counts as frequency-flat.
+constexpr double kFlatSlopeDbPerDecade = 6.0;
+/// FoV open fraction above this rules out heavy siting obstruction
+/// (window/indoor sites sit well below 0.15; even a partially screened
+/// outdoor install keeps a quarter of the horizon).
+constexpr double kOpenFovFraction = 0.2;
+/// Per-band-edge attenuation above the in-band median by this margin
+/// indicates the antenna does not cover the claimed range.
+constexpr double kBandEdgeExcessDb = 12.0;
+
 [[nodiscard]] double median(std::vector<double> values) noexcept {
   if (values.empty()) return 0.0;
   const auto mid = values.begin() + static_cast<std::ptrdiff_t>(values.size() / 2);
@@ -16,8 +30,7 @@ namespace {
 }  // namespace
 
 HardwareDiagnosis diagnose_hardware(const FrequencyResponseReport& freq,
-                                    const FovEstimate& fov,
-                                    const HardwareDiagnosisConfig& config) {
+                                    const FovEstimate& fov) {
   HardwareDiagnosis out;
 
   std::vector<double> attenuations;
@@ -31,9 +44,9 @@ HardwareDiagnosis diagnose_hardware(const FrequencyResponseReport& freq,
 
   // --- cable / connector fault ---------------------------------------------
   const bool flat = std::fabs(freq.attenuation_slope_db_per_decade) <
-                    config.flat_slope_db_per_decade;
-  const bool open_sky = fov.open_fraction_deg >= config.open_fov_fraction;
-  if (flat && open_sky && flat_offset >= config.cable_fault_floor_db) {
+                    kFlatSlopeDbPerDecade;
+  const bool open_sky = fov.open_fraction_deg >= kOpenFovFraction;
+  if (flat && open_sky && flat_offset >= kCableFaultFloorDb) {
     out.cable_fault_suspected = true;
     out.estimated_cable_loss_db = flat_offset;
     std::ostringstream os;
@@ -49,7 +62,7 @@ HardwareDiagnosis diagnose_hardware(const FrequencyResponseReport& freq,
   for (const auto& m : freq.measurements) {
     const double atten =
         m.measured_dbm ? m.expected_dbm - *m.measured_dbm : 1e9;
-    if (atten - flat_offset >= config.band_edge_excess_db)
+    if (atten - flat_offset >= kBandEdgeExcessDb)
       out.deaf_frequencies_hz.push_back(m.freq_hz);
   }
   if (!out.deaf_frequencies_hz.empty() && open_sky) {
@@ -59,7 +72,7 @@ HardwareDiagnosis diagnose_hardware(const FrequencyResponseReport& freq,
     for (const auto& m : freq.measurements) {
       if (!m.measured_dbm) continue;
       const double atten = m.expected_dbm - *m.measured_dbm;
-      if (atten - flat_offset < config.band_edge_excess_db) {
+      if (atten - flat_offset < kBandEdgeExcessDb) {
         healthy_min = std::min(healthy_min, m.freq_hz);
         healthy_max = std::max(healthy_max, m.freq_hz);
       }

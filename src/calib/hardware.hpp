@@ -21,21 +21,6 @@
 
 namespace speccal::calib {
 
-struct HardwareDiagnosisConfig {
-  /// A flat attenuation above this, with low slope and a wide FoV, points
-  /// at the RF plumbing rather than the siting.
-  double cable_fault_floor_db = 6.0;
-  /// |attenuation slope| below this counts as frequency-flat.
-  double flat_slope_db_per_decade = 6.0;
-  /// FoV open fraction above this rules out heavy siting obstruction
-  /// (window/indoor sites sit well below 0.15; even a partially screened
-  /// outdoor install keeps a quarter of the horizon).
-  double open_fov_fraction = 0.2;
-  /// Per-band-edge attenuation above the in-band median by this margin
-  /// indicates the antenna does not cover the claimed range.
-  double band_edge_excess_db = 12.0;
-};
-
 struct HardwareDiagnosis {
   bool cable_fault_suspected = false;
   /// Estimated flat loss attributable to the RF path [dB].
@@ -52,7 +37,6 @@ struct HardwareDiagnosis {
 
 /// Diagnose hardware from the frequency response and field-of-view evidence.
 [[nodiscard]] HardwareDiagnosis diagnose_hardware(
-    const FrequencyResponseReport& freq, const FovEstimate& fov,
-    const HardwareDiagnosisConfig& config = {});
+    const FrequencyResponseReport& freq, const FovEstimate& fov);
 
 }  // namespace speccal::calib

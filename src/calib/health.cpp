@@ -5,39 +5,12 @@
 #include <map>
 #include <ostream>
 #include <sstream>
-#include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "util/json.hpp"
 #include "util/table.hpp"
 
 namespace speccal::calib {
-
-void HealthConfig::validate() const {
-  if (retry_penalty < 0.0)
-    throw std::invalid_argument("HealthConfig.retry_penalty must be >= 0");
-  if (quarantine_penalty < 0.0)
-    throw std::invalid_argument("HealthConfig.quarantine_penalty must be >= 0");
-  if (abort_penalty < 0.0)
-    throw std::invalid_argument("HealthConfig.abort_penalty must be >= 0");
-  if (crc_penalty_max < 0.0)
-    throw std::invalid_argument("HealthConfig.crc_penalty_max must be >= 0");
-  if (divergence_penalty_max < 0.0)
-    throw std::invalid_argument(
-        "HealthConfig.divergence_penalty_max must be >= 0");
-  if (divergence_full_scale_db <= 0.0)
-    throw std::invalid_argument(
-        "HealthConfig.divergence_full_scale_db must be > 0");
-  if (min_band_population < 2)
-    throw std::invalid_argument("HealthConfig.min_band_population must be >= 2");
-  // The separation guarantee (header): any faulted node must score strictly
-  // below any clean node, so the clean-node penalty ceiling has to stay
-  // under the smallest fault penalty.
-  if (crc_penalty_max + divergence_penalty_max >= retry_penalty)
-    throw std::invalid_argument(
-        "HealthConfig.crc_penalty_max + divergence_penalty_max must be < "
-        "retry_penalty (separation guarantee)");
-}
 
 const NodeHealth* HealthReport::find(const std::string& node_id) const noexcept {
   for (const NodeHealth& n : nodes)
@@ -90,11 +63,28 @@ void HealthReport::write_json(std::ostream& os) const {
   os << "\n";
 }
 
-HealthMonitor::HealthMonitor(HealthConfig config) : config_(config) {
-  config_.validate();
-}
-
 namespace {
+
+constexpr double kRetryPenalty = 20.0;
+constexpr double kQuarantinePenalty = 45.0;
+constexpr double kAbortPenalty = 100.0;
+constexpr double kCrcPenaltyMax = 8.0;
+constexpr double kDivergencePenaltyMax = 7.0;
+/// Mean |residual| vs the fleet median [dB] at which the divergence
+/// penalty saturates.
+constexpr double kDivergenceFullScaleDb = 12.0;
+/// Scores strictly below this are flagged unhealthy. It sits on the
+/// separation gap: clean floor (85) > threshold-eligible fault ceiling (80).
+constexpr double kUnhealthyThreshold = 85.0;
+/// Minimum nodes reporting a band before its median counts as consensus.
+constexpr std::size_t kMinBandPopulation = 3;
+
+// The separation guarantee (header): any faulted node must score strictly
+// below any clean node, so the clean-node penalty ceiling has to stay
+// under the smallest fault penalty, and the threshold has to sit between.
+static_assert(kCrcPenaltyMax + kDivergencePenaltyMax < kRetryPenalty);
+static_assert(100.0 - kRetryPenalty < kUnhealthyThreshold &&
+              kUnhealthyThreshold <= 100.0 - kCrcPenaltyMax - kDivergencePenaltyMax);
 
 double median_of(std::vector<double>& values) {
   std::sort(values.begin(), values.end());
@@ -107,7 +97,7 @@ double median_of(std::vector<double>& values) {
 
 HealthReport HealthMonitor::evaluate(const NodeRegistry& registry) const {
   HealthReport out;
-  out.unhealthy_threshold = config_.unhealthy_threshold;
+  out.unhealthy_threshold = kUnhealthyThreshold;
 
   // Pass 1: fleet consensus — per-RF-channel median TV power across every
   // node that tuned the channel successfully.
@@ -118,7 +108,7 @@ HealthReport HealthMonitor::evaluate(const NodeRegistry& registry) const {
   });
   std::map<int, double> band_median;
   for (auto& [channel, powers] : band_powers)
-    if (powers.size() >= config_.min_band_population)
+    if (powers.size() >= kMinBandPopulation)
       band_median[channel] = median_of(powers);
 
   // Pass 2: score each node against its fault history and the consensus.
@@ -146,19 +136,18 @@ HealthReport HealthMonitor::evaluate(const NodeRegistry& registry) const {
     if (residual_bands > 0)
       h.divergence_db = residual_sum / static_cast<double>(residual_bands);
 
-    if (!report.fault_records.empty()) h.fault_penalty += config_.retry_penalty;
+    if (!report.fault_records.empty()) h.fault_penalty += kRetryPenalty;
     h.fault_penalty +=
-        config_.quarantine_penalty * static_cast<double>(h.quarantined_stages);
-    if (h.aborted) h.fault_penalty += config_.abort_penalty;
-    h.crc_penalty =
-        config_.crc_penalty_max * std::clamp(h.crc_repair_rate, 0.0, 1.0);
+        kQuarantinePenalty * static_cast<double>(h.quarantined_stages);
+    if (h.aborted) h.fault_penalty += kAbortPenalty;
+    h.crc_penalty = kCrcPenaltyMax * std::clamp(h.crc_repair_rate, 0.0, 1.0);
     h.divergence_penalty =
-        config_.divergence_penalty_max *
-        std::clamp(h.divergence_db / config_.divergence_full_scale_db, 0.0, 1.0);
+        kDivergencePenaltyMax *
+        std::clamp(h.divergence_db / kDivergenceFullScaleDb, 0.0, 1.0);
 
     h.score = std::max(
         0.0, 100.0 - h.fault_penalty - h.crc_penalty - h.divergence_penalty);
-    h.unhealthy = h.score < config_.unhealthy_threshold;
+    h.unhealthy = h.score < kUnhealthyThreshold;
     if (h.unhealthy) ++out.unhealthy_count;
     out.nodes.push_back(std::move(h));
   });

@@ -6,23 +6,24 @@
 //
 //   score = max(0, 100 - fault_penalty - crc_penalty - divergence_penalty)
 //
-//   fault_penalty       retry_penalty (20) once if the node has ANY fault
-//                       records, + quarantine_penalty (45) per quarantined
-//                       or deadline-expired stage, + abort_penalty (100) if
+//   fault_penalty       kRetryPenalty (20) once if the node has ANY fault
+//                       records, + kQuarantinePenalty (45) per quarantined
+//                       or deadline-expired stage, + kAbortPenalty (100) if
 //                       the run aborted. Zero for a fault-free node.
-//   crc_penalty         crc_penalty_max (8) scaled by the node's ADS-B CRC
+//   crc_penalty         kCrcPenaltyMax (8) scaled by the node's ADS-B CRC
 //                       repair rate (frames_crc_repaired / frames_decoded).
-//   divergence_penalty  divergence_penalty_max (7) scaled by the node's
+//   divergence_penalty  kDivergencePenaltyMax (7) scaled by the node's
 //                       mean per-band TV-power residual against the fleet
 //                       median (the consensus-divergence primitive from
 //                       "Crowdsourced wireless spectrum anomaly detection"),
-//                       saturating at divergence_full_scale_db.
+//                       saturating at kDivergenceFullScaleDb (12 dB).
 //
-// Separation guarantee (locked by tests/test_health.cpp): the two
-// clean-node penalties sum to at most 15, strictly less than the smallest
-// fault-class penalty (20) — so every node with a fault record scores <= 80
-// while every fault-free node scores >= 85, no matter how noisy its
-// spectra. unhealthy_threshold sits exactly on that gap.
+// Separation guarantee (a static_assert in health.cpp, locked by
+// tests/test_health.cpp): the two clean-node penalties sum to at most 15,
+// strictly less than the smallest fault-class penalty (20) — so every node
+// with a fault record scores <= 80 while every fault-free node scores
+// >= 85, no matter how noisy its spectra. The unhealthy threshold (85)
+// sits exactly on that gap.
 //
 // Outputs: a worst-first HealthReport with JSON export (schema v1),
 // `speccal_node_health{node="..."}` gauges, and optional report annotation
@@ -42,29 +43,6 @@ class Registry;
 }
 
 namespace speccal::calib {
-
-struct HealthConfig {
-  double retry_penalty = 20.0;
-  double quarantine_penalty = 45.0;
-  double abort_penalty = 100.0;
-  double crc_penalty_max = 8.0;
-  double divergence_penalty_max = 7.0;
-  /// Mean |residual| vs the fleet median [dB] at which the divergence
-  /// penalty saturates.
-  double divergence_full_scale_db = 12.0;
-  /// Scores strictly below this are flagged unhealthy. The default sits on
-  /// the separation gap: clean floor (85) > threshold-eligible fault
-  /// ceiling (80).
-  double unhealthy_threshold = 85.0;
-  /// Minimum nodes reporting a band before its median counts as consensus.
-  std::size_t min_band_population = 3;
-
-  /// Throws std::invalid_argument naming the field (shared validation
-  /// convention, DESIGN.md §13). Rejects weight layouts that break the
-  /// separation guarantee (crc_penalty_max + divergence_penalty_max must be
-  /// < retry_penalty).
-  void validate() const;
-};
 
 /// One node's health evaluation.
 struct NodeHealth {
@@ -101,11 +79,6 @@ struct HealthReport {
 
 class HealthMonitor {
  public:
-  /// Throws if `config` fails validate().
-  explicit HealthMonitor(HealthConfig config = {});
-
-  [[nodiscard]] const HealthConfig& config() const noexcept { return config_; }
-
   /// Score every node currently in the registry. Pure read: the registry
   /// and its reports are unchanged.
   [[nodiscard]] HealthReport evaluate(const NodeRegistry& registry) const;
@@ -118,9 +91,6 @@ class HealthMonitor {
   /// findings. Clean nodes are never touched, so fault-free reports stay
   /// byte-identical to a run without health monitoring.
   void annotate(NodeRegistry& registry, const HealthReport& health) const;
-
- private:
-  HealthConfig config_;
 };
 
 }  // namespace speccal::calib

@@ -15,6 +15,13 @@ namespace {
 /// Offset at which we park the pilot in baseband (off DC, where real
 /// receivers have an offset spike).
 constexpr double kPilotParkHz = -250e3;
+constexpr double kGainDb = 20.0;
+/// Pilot search window around the expected offset [Hz]: +-20 ppm at
+/// 600 MHz is +-12 kHz. The search runs on a zero-padded FFT and refines
+/// the peak bin by parabolic interpolation.
+constexpr double kSearchSpanHz = 25e3;
+/// Minimum pilot power over the local floor to accept a measurement.
+constexpr double kMinPilotSnrDb = 15.0;
 
 /// Goertzel refinement around a coarse peak estimate: evaluate the unpadded
 /// DFT power on a fine grid (quarter-bin spacing, +/- one bin) and take a
@@ -55,14 +62,13 @@ constexpr double kPilotParkHz = -250e3;
 }  // namespace
 
 LoCalibrationResult calibrate_lo(sdr::Device& device,
-                                 const std::vector<int>& rf_channels,
-                                 const LoCalibrationConfig& config) {
+                                 const std::vector<int>& rf_channels) {
   LoCalibrationResult out;
   device.set_gain_mode(sdr::GainMode::kManual);
-  device.set_gain_db(config.gain_db);
+  device.set_gain_db(kGainDb);
 
   const auto samples =
-      static_cast<std::size_t>(config.capture_duration_s * config.sample_rate_hz);
+      static_cast<std::size_t>(kLoCaptureDurationS * kLoSampleRateHz);
 
   // One plan-based estimator for all channels: every capture has the same
   // length, so the capture buffer, the zero-padded FFT plan and scratch are
@@ -77,7 +83,7 @@ LoCalibrationResult calibrate_lo(sdr::Device& device,
     PilotMeasurement meas;
     meas.station_pilot_hz = *edge + tv::kPilotOffsetHz;
 
-    if (!device.tune(meas.station_pilot_hz - kPilotParkHz, config.sample_rate_hz)) {
+    if (!device.tune(meas.station_pilot_hz - kPilotParkHz, kLoSampleRateHz)) {
       out.pilots.push_back(meas);
       continue;
     }
@@ -89,15 +95,15 @@ LoCalibrationResult calibrate_lo(sdr::Device& device,
     // as a fine-grid refinement around it, gated on the SNR test below.)
     estimator.estimate(capture, spectrum);
     const double fft_size = static_cast<double>(spectrum.size());
-    const double bin_hz = config.sample_rate_hz / fft_size;
+    const double bin_hz = kLoSampleRateHz / fft_size;
 
     std::size_t peak = 0;
     double peak_power = 0.0;
     std::vector<double> window_powers;
-    for (double f = kPilotParkHz - config.search_span_hz;
-         f <= kPilotParkHz + config.search_span_hz; f += bin_hz) {
+    for (double f = kPilotParkHz - kSearchSpanHz;
+         f <= kPilotParkHz + kSearchSpanHz; f += bin_hz) {
       const std::size_t bin =
-          dsp::bin_for_frequency(f, config.sample_rate_hz, spectrum.size());
+          dsp::bin_for_frequency(f, kLoSampleRateHz, spectrum.size());
       window_powers.push_back(spectrum[bin]);
       if (spectrum[bin] > peak_power) {
         peak_power = spectrum[bin];
@@ -121,7 +127,7 @@ LoCalibrationResult calibrate_lo(sdr::Device& device,
         "speccal_gate_lo_refine_pass_total");
     static obs::Counter& refine_skip = obs::Registry::global().counter(
         "speccal_gate_lo_refine_skip_total");
-    if (meas.pilot_snr_db >= config.min_pilot_snr_db) {
+    if (meas.pilot_snr_db >= kMinPilotSnrDb) {
       refine_pass.add();
       // Parabolic interpolation over the peak bin and its neighbours.
       double refine = 0.0;
@@ -133,12 +139,12 @@ LoCalibrationResult calibrate_lo(sdr::Device& device,
           refine = 0.5 * (prev - next) / denom * bin_hz;
       }
       double peak_freq = static_cast<double>(peak) * bin_hz;
-      if (peak_freq >= config.sample_rate_hz / 2.0) peak_freq -= config.sample_rate_hz;
+      if (peak_freq >= kLoSampleRateHz / 2.0) peak_freq -= kLoSampleRateHz;
       // Goertzel fine grid around the parabolic estimate (the lo_calibration
       // TODO this PR closes): fractional-frequency DFT evaluation on the
       // unpadded capture pins the pilot tighter than the padded-bin fit.
       const double measured = goertzel_refine_peak(
-          capture, peak_freq + refine, bin_hz, config.sample_rate_hz);
+          capture, peak_freq + refine, bin_hz, kLoSampleRateHz);
       meas.measured_offset_hz = measured - kPilotParkHz;
       // offset = -ppm * f_pilot / 1e6  =>  ppm = -offset / f_pilot * 1e6.
       meas.ppm = -meas.measured_offset_hz / meas.station_pilot_hz * 1e6;

@@ -17,17 +17,10 @@
 
 namespace speccal::calib {
 
-struct LoCalibrationConfig {
-  double sample_rate_hz = 2e6;
-  double capture_duration_s = 0.02;
-  double gain_db = 20.0;
-  /// Pilot search window around the expected offset [Hz]: +-20 ppm at
-  /// 600 MHz is +-12 kHz. The search runs on a zero-padded FFT and refines
-  /// the peak bin by parabolic interpolation.
-  double search_span_hz = 25e3;
-  /// Minimum pilot power over the local floor to accept a measurement.
-  double min_pilot_snr_db = 15.0;
-};
+/// Sample rate and length of each pilot capture (the pipeline counts the
+/// stage's samples from them).
+inline constexpr double kLoSampleRateHz = 2e6;
+inline constexpr double kLoCaptureDurationS = 0.02;
 
 struct PilotMeasurement {
   double station_pilot_hz = 0.0;   // true pilot frequency (channel table)
@@ -49,7 +42,6 @@ struct LoCalibrationResult {
 /// Measure the device's LO error against a list of ATSC channels known to
 /// be receivable at the site (from the TV sweep).
 [[nodiscard]] LoCalibrationResult calibrate_lo(sdr::Device& device,
-                                               const std::vector<int>& rf_channels,
-                                               const LoCalibrationConfig& config = {});
+                                               const std::vector<int>& rf_channels);
 
 }  // namespace speccal::calib

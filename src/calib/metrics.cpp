@@ -56,12 +56,6 @@ double StageMetrics::total_wall_ms() const noexcept {
   return total;
 }
 
-std::uint64_t StageMetrics::total_samples_captured() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& s : stages) total += s.samples_captured;
-  return total;
-}
-
 void StageMetrics::write_json(util::JsonWriter& w) const {
   w.begin_object();
   w.key("total_wall_ms");

@@ -58,7 +58,6 @@ struct StageMetrics {
   }
 
   [[nodiscard]] double total_wall_ms() const noexcept;
-  [[nodiscard]] std::uint64_t total_samples_captured() const noexcept;
 
   /// Emits the "stage_metrics" value (an object) on an open writer; the
   /// caller provides the surrounding key.

@@ -61,8 +61,12 @@ const char* MlFeatures::name(std::size_t index) noexcept {
 }
 
 double IndoorClassifier::train(std::span<const MlFeatures> examples,
-                               const std::vector<bool>& labels,
-                               const TrainConfig& config) {
+                               const std::vector<bool>& labels) {
+  // Batch gradient descent with L2 regularization.
+  constexpr double kLearningRate = 0.5;
+  constexpr int kEpochs = 2000;
+  constexpr double kL2 = 1e-3;
+
   if (examples.size() != labels.size() || examples.empty())
     throw std::invalid_argument("IndoorClassifier::train: bad dataset");
 
@@ -71,7 +75,7 @@ double IndoorClassifier::train(std::span<const MlFeatures> examples,
   const double n = static_cast<double>(examples.size());
   double loss = 0.0;
 
-  for (int epoch = 0; epoch < config.epochs; ++epoch) {
+  for (int epoch = 0; epoch < kEpochs; ++epoch) {
     std::array<double, MlFeatures::kCount> grad{};
     double grad_bias = 0.0;
     loss = 0.0;
@@ -87,11 +91,11 @@ double IndoorClassifier::train(std::span<const MlFeatures> examples,
     }
     loss /= n;
     for (std::size_t k = 0; k < MlFeatures::kCount; ++k) {
-      loss += config.l2 * weights_[k] * weights_[k] / 2.0;
-      weights_[k] -= config.learning_rate *
-                     (grad[k] / n + config.l2 * weights_[k]);
+      loss += kL2 * weights_[k] * weights_[k] / 2.0;
+      weights_[k] -= kLearningRate *
+                     (grad[k] / n + kL2 * weights_[k]);
     }
-    bias_ -= config.learning_rate * grad_bias / n;
+    bias_ -= kLearningRate * grad_bias / n;
   }
   return loss;
 }

@@ -36,19 +36,12 @@ struct MlFeatures {
   [[nodiscard]] static const char* name(std::size_t index) noexcept;
 };
 
-struct TrainConfig {
-  double learning_rate = 0.5;
-  int epochs = 2000;
-  double l2 = 1e-3;
-};
-
 /// Binary logistic regression: P(indoor | features).
 class IndoorClassifier {
  public:
   /// Train on labeled examples (label true = indoor). Returns the final
   /// training loss (mean cross-entropy + L2 term).
-  double train(std::span<const MlFeatures> examples, const std::vector<bool>& labels,
-               const TrainConfig& config = {});
+  double train(std::span<const MlFeatures> examples, const std::vector<bool>& labels);
 
   [[nodiscard]] double predict_probability(const MlFeatures& features) const noexcept;
   [[nodiscard]] bool predict_indoor(const MlFeatures& features,

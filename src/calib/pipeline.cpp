@@ -24,12 +24,19 @@ namespace speccal::calib {
 static_assert(std::is_copy_constructible_v<WorldModel>);
 static_assert(std::is_copy_constructible_v<PipelineConfig>);
 
+namespace {
+
+/// Cells considered "nearby" for the scan list.
+constexpr double kCellSearchRadiusM = 30e3;
+/// TV reading below noise floor + margin counts as lost.
+constexpr double kTvDetectMarginDb = 2.0;
+/// Receiver gain of the anomaly watchlist sweep.
+constexpr double kAnomalyScanGainDb = 40.0;
+
+}  // namespace
+
 void AnomalyScanConfig::validate() const {
   if (!enabled) return;
-  if (!(gain_db >= 0.0 && gain_db <= 90.0))
-    throw std::invalid_argument(
-        "AnomalyScanConfig.gain_db must be in [0, 90] (got " +
-        std::to_string(gain_db) + ")");
   if (bands.empty())
     throw std::invalid_argument(
         "AnomalyScanConfig.bands must be non-empty when enabled");
@@ -143,15 +150,12 @@ std::vector<StageSpec> CalibrationPipeline::stage_plan() const {
   specs.push_back({Stage::kTvSweep, /*uses_device=*/true, {Stage::kCellScan}});
   specs.push_back({Stage::kFuse, /*uses_device=*/false,
                    {Stage::kFov, Stage::kCellScan, Stage::kTvSweep}});
-  if (config_.run_lo_calibration)
-    specs.push_back({Stage::kLoCal, /*uses_device=*/true, {Stage::kTvSweep}});
+  specs.push_back({Stage::kLoCal, /*uses_device=*/true, {Stage::kTvSweep}});
   // The watchlist sweep runs after every calibration capture, so arming it
   // cannot perturb the measurements earlier stages would otherwise take —
   // the clean-run bitwise guarantee the anomaly tests lock.
   if (config_.anomaly_scan.enabled)
-    specs.push_back({Stage::kAnomalyScan, /*uses_device=*/true,
-                     {config_.run_lo_calibration ? Stage::kLoCal
-                                                 : Stage::kTvSweep}});
+    specs.push_back({Stage::kAnomalyScan, /*uses_device=*/true, {Stage::kLoCal}});
   return specs;
 }
 
@@ -180,8 +184,8 @@ NodeTaskSet CalibrationPipeline::plan(sdr::Device& device,
   ctx->clear = ctx->rx;
   ctx->clear.obstructions = nullptr;
   ctx->clear.fading = nullptr;
-  ctx->tv_noise_dbm = prop::noise_floor_dbm(
-      config_.tv_meter.measure_bandwidth_hz, device.info().noise_figure_db);
+  ctx->tv_noise_dbm =
+      prop::noise_floor_dbm(tv::kMeasureBandwidthHz, device.info().noise_figure_db);
 
   // Each task wraps its stage body in the same StageTimer + RetryRunner
   // sandwich the serial pipeline used. Runners get the device only for
@@ -232,12 +236,7 @@ NodeTaskSet CalibrationPipeline::plan(sdr::Device& device,
         set.tasks_.push_back(make_task(
             spec.stage, spec.uses_device,
             [ctx] { ctx->report->fov = FovEstimate{}; },
-            [this, ctx] {
-              ctx->report->fov =
-                  config_.use_knn_fov
-                      ? estimate_fov_knn(ctx->report->survey, config_.fov)
-                      : estimate_fov_sectors(ctx->report->survey, config_.fov);
-            }));
+            [ctx] { ctx->report->fov = estimate_fov_knn(ctx->report->survey); }));
         break;
       case Stage::kCellScan:
         // --- 2. Cellular scan -------------------------------------------
@@ -248,9 +247,9 @@ NodeTaskSet CalibrationPipeline::plan(sdr::Device& device,
               ctx->cell_measurements.clear();
             },
             [this, ctx] {
-              cellular::CellScanner scanner(config_.cell_scan);
-              const auto nearby = world_.cells.near(ctx->rx.position,
-                                                    config_.cell_search_radius_m);
+              const cellular::CellScanner scanner;
+              const auto nearby =
+                  world_.cells.near(ctx->rx.position, kCellSearchRadiusM);
               ctx->report->cell_scan = scanner.scan(
                   nearby, ctx->rx, ctx->device->info().frontend_loss_db);
               for (const auto& meas : ctx->report->cell_scan) {
@@ -280,7 +279,7 @@ NodeTaskSet CalibrationPipeline::plan(sdr::Device& device,
               ctx->report->metrics.at(Stage::kTvSweep) = StageSample{};
             },
             [this, ctx] {
-              tv::PowerMeter meter(config_.tv_meter);
+              const tv::PowerMeter meter;
               for (const auto& emitter : world_.tv_channels) {
                 const auto channel =
                     tv::channel_for_frequency(emitter.carrier_hz);
@@ -301,8 +300,7 @@ NodeTaskSet CalibrationPipeline::plan(sdr::Device& device,
                 bm.freq_hz = emitter.carrier_hz;
                 bm.expected_dbm = probe.received_power_dbm(ctx->clear);
                 if (reading.tune_ok &&
-                    reading.power_dbm >
-                        ctx->tv_noise_dbm + config_.tv_detect_margin_db)
+                    reading.power_dbm > ctx->tv_noise_dbm + kTvDetectMarginDb)
                   bm.measured_dbm = reading.power_dbm;
                 bm.azimuth_deg =
                     geo::bearing_deg(ctx->rx.position, emitter.position);
@@ -331,19 +329,18 @@ NodeTaskSet CalibrationPipeline::plan(sdr::Device& device,
               measurements.insert(measurements.end(),
                                   ctx->tv_measurements.begin(),
                                   ctx->tv_measurements.end());
-              report.frequency_response = evaluate_frequency_response(
-                  std::move(measurements), config_.freqresp);
-              report.classification = classify_installation(
-                  report.fov, report.frequency_response, config_.classifier);
+              report.frequency_response =
+                  evaluate_frequency_response(std::move(measurements));
+              report.classification =
+                  classify_installation(report.fov, report.frequency_response);
               report.trust = evaluate_trust(report.claims, report.survey,
                                             report.fov,
                                             report.frequency_response,
-                                            report.classification,
-                                            config_.trust);
+                                            report.classification);
 
               // --- 5. Hardware separation -------------------------------
-              report.hardware = diagnose_hardware(report.frequency_response,
-                                                  report.fov, config_.hardware);
+              report.hardware =
+                  diagnose_hardware(report.frequency_response, report.fov);
             }));
         break;
       case Stage::kLoCal:
@@ -359,16 +356,13 @@ NodeTaskSet CalibrationPipeline::plan(sdr::Device& device,
               std::vector<int> receivable;
               for (const auto& reading : report.tv_readings)
                 if (reading.tune_ok &&
-                    reading.power_dbm >
-                        ctx->tv_noise_dbm + config_.tv_detect_margin_db)
+                    reading.power_dbm > ctx->tv_noise_dbm + kTvDetectMarginDb)
                   receivable.push_back(reading.rf_channel);
-              report.lo_calibration =
-                  calibrate_lo(*ctx->device, receivable, config_.lo);
+              report.lo_calibration = calibrate_lo(*ctx->device, receivable);
               report.metrics.at(Stage::kLoCal).samples_captured +=
                   static_cast<std::uint64_t>(
                       report.lo_calibration.pilots.size()) *
-                  static_cast<std::uint64_t>(config_.lo.sample_rate_hz *
-                                             config_.lo.capture_duration_s);
+                  static_cast<std::uint64_t>(kLoSampleRateHz * kLoCaptureDurationS);
             }));
         break;
       case Stage::kAnomalyScan:
@@ -388,7 +382,7 @@ NodeTaskSet CalibrationPipeline::plan(sdr::Device& device,
                 obs.label = band.label;
                 obs.center_hz = band.center_hz;
                 ctx->device->set_gain_mode(sdr::GainMode::kManual);
-                ctx->device->set_gain_db(config_.anomaly_scan.gain_db);
+                ctx->device->set_gain_db(kAnomalyScanGainDb);
                 obs.tune_ok =
                     ctx->device->tune(band.center_hz, band.sample_rate_hz);
                 if (obs.tune_ok) {

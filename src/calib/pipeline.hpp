@@ -72,7 +72,6 @@ struct WatchBand {
 /// identical to builds that predate it.
 struct AnomalyScanConfig {
   bool enabled = false;
-  double gain_db = 40.0;
   std::vector<WatchBand> bands;
 
   /// Throws std::invalid_argument naming the field (shared validation
@@ -102,25 +101,10 @@ struct AnomalyScanResult {
   std::vector<WatchObservation> bands;
 };
 
+/// What a node's calibration may vary. Every other stage setting is a
+/// constant of the stage that reads it, so one recipe judges every node.
 struct PipelineConfig {
   SurveyConfig survey;
-  FovConfig fov;
-  cellular::ScanConfig cell_scan;
-  tv::PowerMeterConfig tv_meter;
-  FrequencyResponseConfig freqresp;
-  ClassifierConfig classifier;
-  TrustConfig trust;
-  /// Cells considered "nearby" for the scan list.
-  double cell_search_radius_m = 30e3;
-  /// Use the KNN FoV estimator (paper §5) instead of plain sectors.
-  bool use_knn_fov = true;
-  /// TV reading below noise floor + margin counts as lost.
-  double tv_detect_margin_db = 2.0;
-  /// Hardware-fault separation thresholds.
-  HardwareDiagnosisConfig hardware;
-  /// Reference-oscillator calibration against receivable TV pilots.
-  LoCalibrationConfig lo;
-  bool run_lo_calibration = true;
   /// Per-stage retry/backoff/deadline/quarantine policy. The default is a
   /// strict passthrough (one attempt, exceptions propagate — the fleet
   /// engine then aborts the node); chaos runs and hardware deployments
@@ -267,7 +251,6 @@ class CalibrationPipeline {
   [[nodiscard]] std::vector<StageSpec> stage_plan() const;
 
   [[nodiscard]] const WorldModel& world() const noexcept { return world_; }
-  [[nodiscard]] const PipelineConfig& config() const noexcept { return config_; }
 
  private:
   WorldModel world_;

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <thread>
 
 #include "obs/eventlog.hpp"
 #include "obs/metrics.hpp"
@@ -13,11 +12,15 @@ namespace speccal::calib {
 
 namespace {
 
+constexpr double kBackoffMultiplier = 2.0;
+constexpr double kJitterFraction = 0.1;
+constexpr std::uint64_t kJitterSeed = 0x5eedf001u;
+
 /// Stable per-node seed: chains every node-id byte through SplitMix64 so
 /// "node-1"/"node-2" land in unrelated jitter streams regardless of which
 /// worker thread runs them.
-std::uint64_t jitter_seed_for(std::uint64_t seed, std::string_view node_id) {
-  std::uint64_t state = seed;
+std::uint64_t jitter_seed_for(std::string_view node_id) {
+  std::uint64_t state = kJitterSeed;
   for (const char c : node_id) {
     state ^= static_cast<unsigned char>(c);
     (void)util::splitmix64(state);
@@ -63,14 +66,13 @@ RetryRunner::RetryRunner(const RetryPolicy& policy, std::string_view node_id,
       node_id_(node_id),
       device_(device),
       trace_(trace),
-      node_seed_(jitter_seed_for(policy.jitter_seed, node_id)) {}
+      node_seed_(jitter_seed_for(node_id)) {}
 
 double RetryRunner::next_backoff_s(int failed_attempt,
                                    util::Rng& jitter_rng) const noexcept {
   double backoff = policy_.initial_backoff_s *
-                   std::pow(policy_.backoff_multiplier, failed_attempt - 1);
-  if (policy_.jitter_fraction > 0.0)
-    backoff *= 1.0 + policy_.jitter_fraction * (2.0 * jitter_rng.uniform() - 1.0);
+                   std::pow(kBackoffMultiplier, failed_attempt - 1);
+  backoff *= 1.0 + kJitterFraction * (2.0 * jitter_rng.uniform() - 1.0);
   return std::max(0.0, backoff);
 }
 
@@ -154,14 +156,11 @@ bool RetryRunner::run(Stage stage, std::vector<FaultRecord>& records,
     obs::Registry::global()
         .histogram("speccal_retry_backoff_ms", obs::default_duration_bounds_ms())
         .observe(backoff_s * 1e3);
-    if (policy_.sleep_on_backoff) {
-      std::this_thread::sleep_for(std::chrono::duration<double>(backoff_s));
-    } else if (device_ != nullptr) {
-      // Simulated deployments: backoff consumes stream time, not wall time —
-      // deterministic, and the world genuinely moves on while we wait. Pure
-      // stages (null device) advance nothing.
+    // Backoff consumes stream time, not wall time — deterministic, and the
+    // world genuinely moves on while we wait. Pure stages (null device)
+    // advance nothing.
+    if (device_ != nullptr)
       if (sdr::SimControl* sim = device_->sim_control()) sim->advance_time(backoff_s);
-    }
   }
 }
 

@@ -16,7 +16,7 @@
 // deployments opt in via PipelineConfig::retry.
 //
 // Determinism contract (DESIGN.md §11, §12): the backoff jitter stream is
-// a stable function of (jitter_seed, node_id, stage) only — never of wall
+// a stable function of (kJitterSeed, node_id, stage) only — never of wall
 // time, the worker thread, or the order stages happen to execute in — so
 // same seed + same fault schedule => same attempt counts, same simulated
 // backoff, same report, whether the stages ran serially or interleaved
@@ -45,12 +45,11 @@ namespace speccal::calib {
 struct RetryPolicy {
   /// Total attempts per stage (1 = never retry — the seed behaviour).
   int max_attempts = 1;
-  /// Backoff before retry k (1-based) is
-  ///   initial_backoff_s * backoff_multiplier^(k-1), jittered by
-  ///   ±jitter_fraction (uniform, from the per-node stream).
+  /// Backoff before retry k (1-based) is initial_backoff_s * 2^(k-1),
+  /// jittered by ±10% (uniform, from the per-node stream). Backoff only
+  /// advances the simulated stream clock (SimControl::advance_time),
+  /// keeping tests and chaos runs fast and deterministic.
   double initial_backoff_s = 0.01;
-  double backoff_multiplier = 2.0;
-  double jitter_fraction = 0.1;
   /// Wall-clock budget per stage, checked after every failed attempt;
   /// exceeding it gives up immediately (FaultOutcome::kDeadlineExpired).
   /// 0 disables the deadline.
@@ -60,11 +59,6 @@ struct RetryPolicy {
   /// instead of aborting. When false, the last exception propagates
   /// (pre-retry behaviour, which the fleet engine turns into an abort).
   bool quarantine = false;
-  /// Backoff handling: true sleeps for real (hardware deployments); false
-  /// only advances the simulated stream clock (SimControl::advance_time),
-  /// keeping tests and chaos runs fast and deterministic.
-  bool sleep_on_backoff = false;
-  std::uint64_t jitter_seed = 0x5eedf001u;
 
   /// True when this policy changes nothing: run the stage once, let
   /// exceptions fly. The runner takes a zero-cost path.
@@ -140,7 +134,7 @@ class RetryRunner {
   /// final failure (so a quarantined stage never leaks a partial attempt
   /// into the report). Returns true when the stage completed, false when it
   /// was quarantined. Appends to `records` only when a fault occurred.
-  /// The jitter stream is reseeded per call from (jitter_seed, node_id,
+  /// The jitter stream is reseeded per call from (kJitterSeed, node_id,
   /// stage), so the same stage of the same node always draws the same
   /// backoff sequence regardless of what else ran in between.
   bool run(Stage stage, std::vector<FaultRecord>& records,

@@ -28,6 +28,18 @@ std::size_t SurveyResult::missed_count() const noexcept {
 
 namespace {
 
+constexpr double kGroundTruthRadiusM = 100e3;
+/// Waveform-mode processing chunk [samples at 2 Msps].
+constexpr std::size_t kChunkSamples = 1u << 18;
+/// Link-budget mode: SNR (over the 2 MHz channel) at which half of the
+/// messages decode, and the logistic width of the transition. Calibrated
+/// against the waveform demodulator (preamble gate + CRC over 112 bits),
+/// whose soft threshold sits near 10-11 dB with a ~1 dB transition.
+constexpr double kDecodeSnr50Db = 10.5;
+constexpr double kDecodeSnrWidthDb = 0.9;
+/// Receiver gain while surveying.
+constexpr double kGainDb = 40.0;
+
 /// Reception stats accumulated per aircraft during the window.
 struct Reception {
   std::uint32_t messages = 0;
@@ -88,7 +100,7 @@ SurveyResult AdsbSurvey::run_waveform(sdr::Device& device,
                                       const airtraffic::GroundTruthService& gt) const {
   (void)sky;  // the device's AdsbSignalSource already references the sky
   device.set_gain_mode(sdr::GainMode::kManual);
-  device.set_gain_db(config_.gain_db);
+  device.set_gain_db(kGainDb);
   device.tune(adsb::kAdsbFreqHz, adsb::kPpmSampleRateHz);
 
   const double t_start = device.stream_time_s();
@@ -98,7 +110,7 @@ SurveyResult AdsbSurvey::run_waveform(sdr::Device& device,
 
   const auto total_samples = static_cast<std::size_t>(
       config_.duration_s * adsb::kPpmSampleRateHz);
-  dsp::Buffer buf(std::min(config_.chunk_samples, total_samples));
+  dsp::Buffer buf(std::min(kChunkSamples, total_samples));
   std::size_t processed = 0;
   while (processed < total_samples) {
     const std::size_t n = std::min(buf.size(), total_samples - processed);
@@ -111,9 +123,9 @@ SurveyResult AdsbSurvey::run_waveform(sdr::Device& device,
 
   const double query_t = t_start + config_.ground_truth_query_at_s;
   const geo::Geodetic sensor_pos = device.position();
-  const auto truth = gt.query(sensor_pos, config_.ground_truth_radius_m, query_t);
+  const auto truth = gt.query(sensor_pos, kGroundTruthRadiusM, query_t);
   const auto extended =
-      gt.query(sensor_pos, config_.ground_truth_radius_m * 1.5, query_t);
+      gt.query(sensor_pos, kGroundTruthRadiusM * 1.5, query_t);
 
   std::map<std::uint32_t, Reception> received;
   for (const auto& ac : decoder.aircraft()) {
@@ -126,7 +138,7 @@ SurveyResult AdsbSurvey::run_waveform(sdr::Device& device,
   }
 
   SurveyResult out = join(truth, extended, received, sensor_pos,
-                          config_.ground_truth_radius_m);
+                          kGroundTruthRadiusM);
   out.total_frames_decoded = decoder.total_frames();
   out.frames_crc_repaired = decoder.crc_repaired_frames();
   out.duration_s = config_.duration_s;
@@ -169,26 +181,26 @@ SurveyResult AdsbSurvey::run_linkbudget(sdr::Device& device,
 
     const double snr_db = budget.rx_power_dbm - noise_dbm;
     const double p_decode =
-        1.0 / (1.0 + std::exp(-(snr_db - config_.decode_snr50_db) /
-                              config_.decode_snr_width_db));
+        1.0 / (1.0 + std::exp(-(snr_db - kDecodeSnr50Db) /
+                              kDecodeSnrWidthDb));
     // Deterministic Bernoulli keyed by the event.
     util::Rng coin(link.message_index ^ 0x5bd1e995u);
     if (!coin.chance(p_decode)) continue;
 
     Reception& r = received[ev.icao];
     ++r.messages;
-    const double rssi = budget.rx_power_dbm + config_.gain_db -
+    const double rssi = budget.rx_power_dbm + kGainDb -
                         device.info().full_scale_input_dbm;
     r.best_rssi_dbfs = std::max(r.best_rssi_dbfs, rssi);
     r.decoded_position = ev.tx_position;
   }
 
   const double query_t = t_start + config_.ground_truth_query_at_s;
-  const auto truth = gt.query(rx.position, config_.ground_truth_radius_m, query_t);
+  const auto truth = gt.query(rx.position, kGroundTruthRadiusM, query_t);
   const auto extended =
-      gt.query(rx.position, config_.ground_truth_radius_m * 1.5, query_t);
+      gt.query(rx.position, kGroundTruthRadiusM * 1.5, query_t);
   SurveyResult out = join(truth, extended, received, rx.position,
-                          config_.ground_truth_radius_m);
+                          kGroundTruthRadiusM);
   for (const auto& [icao, r] : received) out.total_frames_decoded += r.messages;
   out.duration_s = config_.duration_s;
   sim->advance_time(config_.duration_s);

@@ -33,20 +33,9 @@ enum class Fidelity {
 
 struct SurveyConfig {
   double duration_s = 30.0;
-  double ground_truth_radius_m = 100e3;
   /// When during the window to snapshot ground truth (paper: 15 s in).
   double ground_truth_query_at_s = 15.0;
   Fidelity fidelity = Fidelity::kWaveform;
-  /// Waveform-mode processing chunk [samples at 2 Msps].
-  std::size_t chunk_samples = 1u << 18;
-  /// Link-budget mode: SNR (over the 2 MHz channel) at which half of the
-  /// messages decode, and the logistic width of the transition. Calibrated
-  /// against the waveform demodulator (preamble gate + CRC over 112 bits),
-  /// whose soft threshold sits near 10-11 dB with a ~1 dB transition.
-  double decode_snr50_db = 10.5;
-  double decode_snr_width_db = 0.9;
-  /// Receiver gain while surveying.
-  double gain_db = 40.0;
   /// Demodulator settings for waveform mode (CRC repair budget, preamble
   /// gate) — the knobs the decoder ablation sweeps.
   adsb::DemodConfig demod_override{};
@@ -92,8 +81,6 @@ class AdsbSurvey {
   [[nodiscard]] SurveyResult run(sdr::Device& device,
                                  const airtraffic::SkySimulator& sky,
                                  const airtraffic::GroundTruthService& ground_truth) const;
-
-  [[nodiscard]] const SurveyConfig& config() const noexcept { return config_; }
 
  private:
   [[nodiscard]] SurveyResult run_waveform(sdr::Device& device,

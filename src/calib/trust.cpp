@@ -14,8 +14,21 @@ std::size_t TrustReport::violations() const noexcept {
       }));
 }
 
-std::vector<ClaimFinding> detect_fabrication(const SurveyResult& survey,
-                                             const TrustConfig& config) {
+namespace {
+
+/// Omnidirectional claim fails below this open fraction.
+constexpr double kOmniMinOpenFraction = 0.85;
+/// Outdoor claim fails when classified indoor with at least this confidence.
+constexpr double kIndoorConfidenceCutoff = 0.4;
+/// A claimed band is unsupported if its sources show worse attenuation.
+constexpr double kBandFailureDb = 35.0;
+/// Fabrication: fraction of receptions not present in ground truth above
+/// which the node's data stream is considered manufactured.
+constexpr double kMaxUnmatchedFraction = 0.05;
+
+}  // namespace
+
+std::vector<ClaimFinding> detect_fabrication(const SurveyResult& survey) {
   std::vector<ClaimFinding> findings;
 
   // 1. Receptions with no ground-truth counterpart.
@@ -24,7 +37,7 @@ std::vector<ClaimFinding> detect_fabrication(const SurveyResult& survey,
   if (reported > 0) {
     const double unmatched_frac =
         static_cast<double>(survey.unmatched_receptions) / static_cast<double>(reported);
-    if (unmatched_frac > config.max_unmatched_fraction) {
+    if (unmatched_frac > kMaxUnmatchedFraction) {
       std::ostringstream os;
       os << survey.unmatched_receptions << " of " << reported
          << " reported aircraft do not exist in the ground-truth feed";
@@ -97,14 +110,13 @@ std::vector<ClaimFinding> detect_fabrication(const SurveyResult& survey,
 
 TrustReport evaluate_trust(const NodeClaims& claims, const SurveyResult& survey,
                            const FovEstimate& fov, const FrequencyResponseReport& freq,
-                           const Classification& classification,
-                           const TrustConfig& config) {
+                           const Classification& classification) {
   TrustReport report;
   double score = 100.0;
 
   // Claim: omnidirectional / unobstructed view.
   if (claims.claims_omnidirectional) {
-    if (fov.open_fraction_deg < config.omni_min_open_fraction) {
+    if (fov.open_fraction_deg < kOmniMinOpenFraction) {
       std::ostringstream os;
       os << "claims unobstructed view but only "
          << static_cast<int>(fov.open_fraction_deg * 100.0)
@@ -118,7 +130,7 @@ TrustReport evaluate_trust(const NodeClaims& claims, const SurveyResult& survey,
 
   // Claim: outdoor installation.
   if (claims.claims_outdoor && classification.indoor() &&
-      classification.confidence >= config.indoor_confidence_cutoff) {
+      classification.confidence >= kIndoorConfidenceCutoff) {
     report.findings.push_back(
         {Severity::kViolation,
          "claims outdoor installation but evidence indicates " +
@@ -133,7 +145,7 @@ TrustReport evaluate_trust(const NodeClaims& claims, const SurveyResult& survey,
     if (m.freq_hz < claims.min_freq_hz || m.freq_hz > claims.max_freq_hz) continue;
     ++in_range;
     const double atten = m.measured_dbm ? m.expected_dbm - *m.measured_dbm : 1e9;
-    if (atten > config.band_failure_db) ++failed;
+    if (atten > kBandFailureDb) ++failed;
   }
   if (in_range > 0 && failed > 0) {
     std::ostringstream os;
@@ -145,7 +157,7 @@ TrustReport evaluate_trust(const NodeClaims& claims, const SurveyResult& survey,
   }
 
   // Fabrication checks.
-  for (auto& finding : detect_fabrication(survey, config)) {
+  for (auto& finding : detect_fabrication(survey)) {
     score -= finding.severity == Severity::kViolation ? 40.0 : 10.0;
     report.findings.push_back(std::move(finding));
   }

@@ -41,30 +41,16 @@ struct TrustReport {
   [[nodiscard]] std::size_t violations() const noexcept;
 };
 
-struct TrustConfig {
-  /// Omnidirectional claim fails below this open fraction.
-  double omni_min_open_fraction = 0.85;
-  /// Outdoor claim fails when classified indoor with at least this confidence.
-  double indoor_confidence_cutoff = 0.4;
-  /// A claimed band is unsupported if its sources show worse attenuation.
-  double band_failure_db = 35.0;
-  /// Fabrication: fraction of receptions not present in ground truth above
-  /// which the node's data stream is considered manufactured.
-  double max_unmatched_fraction = 0.05;
-};
-
 /// Verify the claims against calibration evidence and produce a score.
 [[nodiscard]] TrustReport evaluate_trust(const NodeClaims& claims,
                                          const SurveyResult& survey,
                                          const FovEstimate& fov,
                                          const FrequencyResponseReport& freq,
-                                         const Classification& classification,
-                                         const TrustConfig& config = {});
+                                         const Classification& classification);
 
 /// Standalone fabrication test on a survey: receptions that ground truth
 /// cannot account for, and physically impossible RSSI/range combinations.
 /// Returns findings only (no score).
-[[nodiscard]] std::vector<ClaimFinding> detect_fabrication(const SurveyResult& survey,
-                                                           const TrustConfig& config = {});
+[[nodiscard]] std::vector<ClaimFinding> detect_fabrication(const SurveyResult& survey);
 
 }  // namespace speccal::calib

@@ -23,7 +23,7 @@ Schedule WindowPlanner::plan(const std::vector<TrafficForecast>& forecast) const
   // visible for several minutes; approximate the standing count as
   // flights_per_hour * 0.2 — a 12-minute mean transit through the disk).
   auto aircraft_in_window = [&](const TrafficForecast& f) {
-    return f.flights_per_hour * (config_.window_s / 3600.0) + f.flights_per_hour * 0.2;
+    return f.flights_per_hour * (kMeasurementWindowS / 3600.0) + f.flights_per_hour * 0.2;
   };
 
   // Coverage composes as independent misses: after windows with coverages
@@ -37,7 +37,7 @@ Schedule WindowPlanner::plan(const std::vector<TrafficForecast>& forecast) const
     for (std::size_t i = 0; i < forecast.size(); ++i) {
       if (used[i]) continue;
       const double c = expected_sector_coverage(aircraft_in_window(forecast[i]),
-                                                config_.azimuth_sectors);
+                                                kAzimuthSectors);
       const double gain = miss_prob * c;
       if (gain > best_gain) {
         best_gain = gain;
@@ -47,7 +47,7 @@ Schedule WindowPlanner::plan(const std::vector<TrafficForecast>& forecast) const
     if (best_idx >= forecast.size() || best_gain < config_.min_marginal_gain) break;
 
     const double c = expected_sector_coverage(aircraft_in_window(forecast[best_idx]),
-                                              config_.azimuth_sectors);
+                                              kAzimuthSectors);
     ScheduledWindow w;
     w.hour_of_day = forecast[best_idx].hour_of_day;
     w.expected_aircraft = aircraft_in_window(forecast[best_idx]);

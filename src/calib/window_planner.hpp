@@ -20,10 +20,10 @@ struct TrafficForecast {
   double flights_per_hour = 0.0;
 };
 
+inline constexpr double kMeasurementWindowS = 30.0;  // paper's measurement length
+inline constexpr int kAzimuthSectors = 36;            // information resolution
+
 struct ScheduleConfig {
-  double window_s = 30.0;              // paper's measurement length
-  double messages_per_flight_hz = 2.0; // position squitter rate
-  int azimuth_sectors = 36;            // information resolution
   std::size_t max_windows = 12;
   /// Stop adding windows when the expected newly-covered fraction of the
   /// horizon drops below this.

@@ -19,6 +19,14 @@ std::string to_string(Verdict verdict) {
 
 namespace {
 
+/// Reported coordinates are implausible when the median ranging
+/// disagreement exceeds this factor of the geometric distance.
+constexpr double kLocationToleranceFactor = 3.0;
+/// Path-loss exponent used to invert RSRP into distance.
+constexpr double kRangingExponent = 2.9;
+/// Indoor devices get this EIRP haircut relative to the category cap.
+constexpr double kIndoorPenaltyDb = 10.0;
+
 /// Invert the urban log-distance model: distance at which a cell with this
 /// EIRP would produce the measured wideband power.
 [[nodiscard]] double range_from_rssi(double rssi_dbm, double eirp_dbm, double freq_hz,
@@ -85,11 +93,11 @@ VerificationResult CbsdVerifier::verify(const CbsdRegistration& registration,
         geo::haversine_m(registration.reported_position, meas.cell.position);
     const double ranged_m = range_from_rssi(meas.rssi_dbm, meas.cell.eirp_dbm,
                                             meas.cell.dl_freq_hz,
-                                            config_.ranging_exponent);
+                                            kRangingExponent);
     inconsistencies.push_back(std::fabs(ranged_m - geometric_m));
     // Obstruction inflates the ranged distance, never deflates it, so only
     // a ranged distance far *below* geometry indicts the claimed location.
-    if (geometric_m > config_.location_tolerance_factor * ranged_m &&
+    if (geometric_m > kLocationToleranceFactor * ranged_m &&
         geometric_m - ranged_m > 2000.0) {
       std::ostringstream os;
       os << "tower " << meas.cell.cell_id << " (" << meas.cell.dl_freq_hz / 1e6
@@ -122,7 +130,7 @@ VerificationResult CbsdVerifier::verify(const CbsdRegistration& registration,
                                   : kCatAMaxEirpDbm;
   double cap = category_cap;
   // Power policy follows the *evidence*, not the claim.
-  if (evidence_indoor) cap = kCatAMaxEirpDbm - config_.indoor_penalty_db;
+  if (evidence_indoor) cap = kCatAMaxEirpDbm - kIndoorPenaltyDb;
   if (out.verdict == Verdict::kRejected) cap = -1e9;  // deny
   out.recommended_eirp_dbm = std::min(cap, registration.max_eirp_dbm);
   if (out.verdict == Verdict::kRejected) out.recommended_eirp_dbm = -1e9;

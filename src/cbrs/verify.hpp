@@ -42,27 +42,10 @@ struct VerificationResult {
   double location_inconsistency_m = 0.0;
 };
 
-struct VerifierConfig {
-  /// Reported coordinates are implausible when the median ranging
-  /// disagreement exceeds this factor of the geometric distance.
-  double location_tolerance_factor = 3.0;
-  /// Path-loss exponent used to invert RSRP into distance.
-  double ranging_exponent = 2.9;
-  /// Indoor devices get this EIRP haircut relative to the category cap.
-  double indoor_penalty_db = 10.0;
-};
-
 class CbsdVerifier {
  public:
-  explicit CbsdVerifier(VerifierConfig config = {}) noexcept : config_(config) {}
-
   [[nodiscard]] VerificationResult verify(const CbsdRegistration& registration,
                                           const calib::CalibrationReport& report) const;
-
-  [[nodiscard]] const VerifierConfig& config() const noexcept { return config_; }
-
- private:
-  VerifierConfig config_;
 };
 
 }  // namespace speccal::cbrs

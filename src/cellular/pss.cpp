@@ -252,24 +252,17 @@ PssDetection pss_search(std::span<const std::complex<float>> capture) {
 }
 
 std::vector<std::pair<Cell, PssDetection>> waveform_cell_search(
-    sdr::Device& device, const std::vector<Cell>& candidates,
-    const PssSearchConfig& config) {
+    sdr::Device& device, const std::vector<Cell>& candidates) {
   std::vector<std::pair<Cell, PssDetection>> out;
-  if (config.use_agc) {
-    device.set_gain_mode(sdr::GainMode::kAgc);
-  } else {
-    device.set_gain_mode(sdr::GainMode::kManual);
-    device.set_gain_db(config.manual_gain_db);
-  }
-  dsp::Buffer capture(
-      static_cast<std::size_t>(config.capture_duration_s * kSearchRateHz));
+  device.set_gain_mode(sdr::GainMode::kAgc);
+  dsp::Buffer capture(static_cast<std::size_t>(kPssCaptureDurationS * kSearchRateHz));
 
   for (const auto& cell : candidates) {
     PssDetection det;
     if (device.tune(cell.dl_freq_hz, kSearchRateHz)) {
       device.capture_into(capture);
       det = pss_search(capture);
-      det.detected = det.metric >= config.detection_threshold &&
+      det.detected = det.metric >= kPssDetectionThreshold &&
                      det.nid2 == static_cast<int>(cell.pci % 3);
     }
     out.emplace_back(cell, det);

@@ -69,30 +69,26 @@ struct PssDetection {
   double cfo_hz = 0.0;             // coarse CFO from the correlation phase
 };
 
-struct PssSearchConfig {
-  /// Capture length: 20 ms = 4 PSS occurrences, non-coherently combined.
-  double capture_duration_s = 20e-3;
-  /// Cell search runs under AGC, as a real UE front end does: a macro cell
-  /// a few hundred metres away would otherwise clip the ADC and shred the
-  /// correlation. (Contrast with the TV power meter, which *must* pin the
-  /// gain to keep readings comparable.)
-  bool use_agc = true;
-  double manual_gain_db = 40.0;
-  /// Combined-correlation peak required to declare sync. The PSS carries
-  /// 62 of ~600 subcarriers, so even an arbitrarily strong cell tops out
-  /// near 0.09 (self-interference from the rest of the grid); the noise
-  /// extreme-value tail after 4-occurrence combining stays below ~0.045.
-  double detection_threshold = 0.065;
-};
+/// Cell-search capture length: 20 ms = 4 PSS occurrences, non-coherently
+/// combined.
+inline constexpr double kPssCaptureDurationS = 20e-3;
+/// Combined-correlation peak required to declare sync. The PSS carries
+/// 62 of ~600 subcarriers, so even an arbitrarily strong cell tops out
+/// near 0.09 (self-interference from the rest of the grid); the noise
+/// extreme-value tail after 4-occurrence combining stays below ~0.045.
+inline constexpr double kPssDetectionThreshold = 0.065;
 
 /// Correlate a capture against the three PSS roots.
 [[nodiscard]] PssDetection pss_search(std::span<const std::complex<float>> capture);
 
 /// Full waveform-level cell search: tune the device to each candidate
-/// cell's downlink EARFCN at 1.92 Msps, capture, correlate. The device
-/// must carry CellSignalSource entries for the physical world.
+/// cell's downlink EARFCN at 1.92 Msps, capture, correlate. The search
+/// runs under AGC, as a real UE front end does: a macro cell a few hundred
+/// metres away would otherwise clip the ADC and shred the correlation.
+/// (Contrast with the TV power meter, which *must* pin the gain to keep
+/// readings comparable.) The device must carry CellSignalSource entries
+/// for the physical world.
 [[nodiscard]] std::vector<std::pair<Cell, PssDetection>> waveform_cell_search(
-    sdr::Device& device, const std::vector<Cell>& candidates,
-    const PssSearchConfig& config = {});
+    sdr::Device& device, const std::vector<Cell>& candidates);
 
 }  // namespace speccal::cellular

@@ -7,6 +7,18 @@
 
 namespace speccal::cellular {
 
+namespace {
+
+/// Minimum SINR per resource element for PSS/SSS sync [dB]. LTE cell
+/// search works slightly below 0 dB; srsUE in practice needs a few dB.
+constexpr double kSyncThresholdDb = 1.0;
+/// Receiver noise figure [dB] (taken from the SDR if scanning a device).
+constexpr double kNoiseFigureDb = 7.0;
+/// Large-scale model for the downlink (urban log-distance).
+constexpr prop::LinkParams kLink{prop::PathModel::kLogDistance, 2.9, 2.0, 3.5, 5000.0};
+
+}  // namespace
+
 CellMeasurement CellScanner::measure(const Cell& cell, const sdr::RxEnvironment& rx,
                                      double frontend_loss_db) const noexcept {
   CellMeasurement out;
@@ -23,7 +35,7 @@ CellMeasurement CellScanner::measure(const Cell& cell, const sdr::RxEnvironment&
     link.rx_antenna_gain_dbi = rx.antenna->gain_dbi(cell.dl_freq_hz, az);
   }
   const prop::LinkResult budget =
-      prop::evaluate_link(link, config_.link, rx.obstructions, rx.fading);
+      prop::evaluate_link(link, kLink, rx.obstructions, rx.fading);
 
   out.rssi_dbm = budget.rx_power_dbm - frontend_loss_db;
   // RSRP = wideband power / number of resource elements.
@@ -31,9 +43,9 @@ CellMeasurement CellScanner::measure(const Cell& cell, const sdr::RxEnvironment&
   out.rsrp_dbm = out.rssi_dbm - 10.0 * std::log10(re_count);
 
   const double noise_re_dbm =
-      prop::noise_floor_dbm(kSubcarrierHz, config_.noise_figure_db);
+      prop::noise_floor_dbm(kSubcarrierHz, kNoiseFigureDb);
   out.sinr_db = out.rsrp_dbm - noise_re_dbm;
-  out.decoded = out.sinr_db >= config_.sync_threshold_db &&
+  out.decoded = out.sinr_db >= kSyncThresholdDb &&
                 out.rsrp_dbm >= config_.min_rsrp_dbm;
   return out;
 }

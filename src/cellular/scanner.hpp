@@ -20,18 +20,11 @@
 namespace speccal::cellular {
 
 struct ScanConfig {
-  /// Minimum SINR per resource element for PSS/SSS sync [dB]. LTE cell
-  /// search works slightly below 0 dB; srsUE in practice needs a few dB.
-  double sync_threshold_db = 1.0;
   /// Practical cell-search sensitivity of srsUE on an SDR front end [dBm
   /// RSRP]: short dwell, CFO search and quantization lose ~25 dB against a
   /// phone baseband, which is why the paper's missing bars appear at RSRP
   /// levels a handset would still decode.
   double min_rsrp_dbm = -95.0;
-  /// Receiver noise figure [dB] (taken from the SDR if scanning a device).
-  double noise_figure_db = 7.0;
-  /// Large-scale model for the downlink (urban log-distance by default).
-  prop::LinkParams link{prop::PathModel::kLogDistance, 2.9, 2.0, 3.5, 5000.0};
 };
 
 struct CellMeasurement {
@@ -59,8 +52,6 @@ class CellScanner {
   [[nodiscard]] std::vector<CellMeasurement> scan(const std::vector<Cell>& cells,
                                                   const sdr::RxEnvironment& rx,
                                                   double frontend_loss_db = 0.0) const;
-
-  [[nodiscard]] const ScanConfig& config() const noexcept { return config_; }
 
  private:
   ScanConfig config_;

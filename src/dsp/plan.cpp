@@ -176,37 +176,20 @@ void PlanCache::clear() {
 
 // ----------------------------------------------------------------- arena ----
 
-namespace {
-template <typename Vec>
-auto pool_span(Vec& pool, std::size_t n) {
-  if (pool.capacity() < n) {
+std::span<std::complex<float>> ScratchArena::complex_f32(std::size_t n) {
+  if (c32_.capacity() < n) {
     // Grow events are the signal that a "zero steady-state allocation" loop
     // is not actually steady; fleet dashboards watch this stay flat.
     static obs::Counter& grows =
         obs::Registry::global().counter("speccal_dsp_scratch_grow_events_total");
     grows.add();
   }
-  if (pool.size() < n) pool.resize(n);
-  return std::span(pool.data(), n);
-}
-}  // namespace
-
-std::span<std::complex<float>> ScratchArena::complex_f32(std::size_t n) {
-  return pool_span(c32_, n);
-}
-
-std::span<std::complex<double>> ScratchArena::complex_f64(std::size_t n) {
-  return pool_span(c64_, n);
-}
-
-std::span<double> ScratchArena::real_f64(std::size_t n) {
-  return pool_span(r64_, n);
+  if (c32_.size() < n) c32_.resize(n);
+  return std::span(c32_.data(), n);
 }
 
 std::size_t ScratchArena::capacity_bytes() const noexcept {
-  return c32_.capacity() * sizeof(std::complex<float>) +
-         c64_.capacity() * sizeof(std::complex<double>) +
-         r64_.capacity() * sizeof(double);
+  return c32_.capacity() * sizeof(std::complex<float>);
 }
 
 // ------------------------------------------------------------- estimator ----

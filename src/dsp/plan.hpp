@@ -101,25 +101,20 @@ class PlanCache {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Caller-owned reusable scratch memory for plan execution. Pools grow
-/// monotonically and never shrink, so a steady-state measurement loop
-/// allocates only on its first iteration. Spans returned by an accessor
-/// are invalidated by the next request from the same pool. Not
-/// thread-safe: keep one arena per worker.
+/// Caller-owned reusable scratch memory for plan execution. The pool grows
+/// monotonically and never shrinks, so a steady-state measurement loop
+/// allocates only on its first iteration. A returned span is invalidated
+/// by the next request. Not thread-safe: keep one arena per worker.
 class ScratchArena {
  public:
   [[nodiscard]] std::span<std::complex<float>> complex_f32(std::size_t n);
-  [[nodiscard]] std::span<std::complex<double>> complex_f64(std::size_t n);
-  [[nodiscard]] std::span<double> real_f64(std::size_t n);
 
-  /// Bytes currently reserved across all pools (monotone; for tests and
-  /// capacity accounting).
+  /// Bytes currently reserved (monotone; for tests and capacity
+  /// accounting).
   [[nodiscard]] std::size_t capacity_bytes() const noexcept;
 
  private:
   std::vector<std::complex<float>> c32_;
-  std::vector<std::complex<double>> c64_;
-  std::vector<double> r64_;
 };
 
 /// Plan-based windowed power spectrum |X[k]|^2, full scale = 1.0. Holds a

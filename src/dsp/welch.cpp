@@ -18,7 +18,7 @@ WelchEstimator::WelchEstimator(WelchConfig config) : config_(config) {
     throw std::invalid_argument("WelchConfig.overlap must be in [0, 1) (got " +
                                 std::to_string(config.overlap) + ")");
   plan_ = PlanCache::shared().plan_f32(config.segment_size);
-  const auto window = make_window(config.window, config.segment_size);
+  const auto window = make_window(WindowType::kHann, config.segment_size);
   window_power_ = dsp::window_power(window);
   window_.assign(window.begin(), window.end());
   hop_ = std::max<std::size_t>(

@@ -30,7 +30,6 @@ namespace speccal::dsp {
 struct WelchConfig {
   std::size_t segment_size = 1024;   // must be a power of two
   double overlap = 0.5;              // fraction of segment_size, in [0, 1)
-  WindowType window = WindowType::kHann;
 };
 
 struct WelchResult {
@@ -41,17 +40,17 @@ struct WelchResult {
   double bin_width_hz = 0.0;
 };
 
-/// Plan-based Welch estimator. Construct once per configuration, call
-/// estimate()/estimate_into() per capture block; the FFT plan comes from
-/// the shared PlanCache and segment scratch is reused across calls. Not
-/// thread-safe for concurrent estimates on one instance (the plan itself
-/// is shared and immutable) — keep one estimator per worker.
+/// Plan-based Welch estimator over Hann-windowed segments. Construct once
+/// per configuration, call estimate()/estimate_into() per capture block;
+/// the FFT plan comes from the shared PlanCache and segment scratch is
+/// reused across calls. Not thread-safe for concurrent estimates on one
+/// instance (the plan itself is shared and immutable) — keep one estimator
+/// per worker.
 class WelchEstimator {
  public:
   /// Validates `config` per the WelchConfig contract.
   explicit WelchEstimator(WelchConfig config = {});
 
-  [[nodiscard]] const WelchConfig& config() const noexcept { return config_; }
   /// Start-to-start distance of consecutive segments, in samples.
   [[nodiscard]] std::size_t hop() const noexcept { return hop_; }
 

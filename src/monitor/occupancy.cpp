@@ -7,8 +7,7 @@
 namespace speccal::monitor {
 
 std::vector<ChannelObservation> detect_occupancy(const SweepResult& sweep,
-                                                 const std::vector<Channel>& channels,
-                                                 const OccupancyConfig& config) {
+                                                 const std::vector<Channel>& channels) {
   std::vector<ChannelObservation> out;
   out.reserve(channels.size());
   for (const auto& channel : channels) {
@@ -33,7 +32,7 @@ std::vector<ChannelObservation> detect_occupancy(const SweepResult& sweep,
 
     if (obs.power_dbfs > -200.0 && obs.floor_dbfs > -200.0) {
       obs.excess_db = obs.power_dbfs - obs.floor_dbfs;
-      obs.occupied = obs.excess_db >= config.detection_margin_db;
+      obs.occupied = obs.excess_db >= kDetectionMarginDb;
     }
     out.push_back(std::move(obs));
   }
@@ -41,16 +40,23 @@ std::vector<ChannelObservation> detect_occupancy(const SweepResult& sweep,
 }
 
 AutocorrOccupancyEstimate estimate_occupancy_autocorr(
-    std::span<const dsp::Sample> capture, const AutocorrOccupancyConfig& config) {
+    std::span<const dsp::Sample> capture) {
+  /// Correlation lag in samples (1 = adjacent-sample).
+  constexpr std::size_t kLag = 1;
+  /// rho at or above this reads as occupied. It splits the vacant extreme
+  /// (rho ~ 1/sqrt(N), < 0.01 for any realistic capture) from the weakest
+  /// occupied case the Welch path would also flag (a band-limited signal
+  /// at detection-margin SNR holds rho >= ~0.25).
+  constexpr double kOccupiedThreshold = 0.15;
   AutocorrOccupancyEstimate out;
-  out.rho = dsp::lag_autocorrelation(capture, config.lag);
+  out.rho = dsp::lag_autocorrelation(capture, kLag);
   out.power_dbfs = dsp::mean_power_dbfs(capture);
-  out.occupied = out.rho >= config.occupied_threshold;
+  out.occupied = out.rho >= kOccupiedThreshold;
   return out;
 }
 
 void OccupancyTracker::ingest(const SweepResult& sweep) {
-  const auto observations = detect_occupancy(sweep, channels_, config_);
+  const auto observations = detect_occupancy(sweep, channels_);
   for (std::size_t i = 0; i < observations.size(); ++i)
     if (observations[i].occupied) ++occupied_counts_[i];
   ++sweeps_;

@@ -22,11 +22,9 @@ struct Channel {
   double high_hz = 0.0;
 };
 
-struct OccupancyConfig {
-  /// A channel counts as occupied when its band power exceeds the expected
-  /// empty-channel power (floor * bins) by this margin.
-  double detection_margin_db = 6.0;
-};
+/// A channel counts as occupied when its band power exceeds the expected
+/// empty-channel power (floor * bins) by this margin.
+inline constexpr double kDetectionMarginDb = 6.0;
 
 struct ChannelObservation {
   Channel channel;
@@ -38,8 +36,7 @@ struct ChannelObservation {
 
 /// Energy-detect every channel in one sweep.
 [[nodiscard]] std::vector<ChannelObservation> detect_occupancy(
-    const SweepResult& sweep, const std::vector<Channel>& channels,
-    const OccupancyConfig& config = {});
+    const SweepResult& sweep, const std::vector<Channel>& channels);
 
 /// Autocorrelation-based occupancy estimate — the cheap second opinion from
 /// the USRP scanning-receiver literature, independent of the Welch-PSD path.
@@ -53,34 +50,21 @@ struct ChannelObservation {
 /// anomaly detector uses it to cross-check PSD residuals: a sensor whose
 /// spectral path is lying still has to produce time-domain samples whose
 /// correlation structure matches.
-struct AutocorrOccupancyConfig {
-  /// Correlation lag in samples (1 = adjacent-sample).
-  std::size_t lag = 1;
-  /// rho at or above this reads as occupied. The default splits the vacant
-  /// extreme (rho ~ 1/sqrt(N), < 0.01 for any realistic capture) from the
-  /// weakest occupied case the Welch path would also flag (a band-limited
-  /// signal at detection-margin SNR holds rho >= ~0.25).
-  double occupied_threshold = 0.15;
-};
-
 struct AutocorrOccupancyEstimate {
-  double rho = 0.0;          // |R(lag)| / R(0), in [0, 1]
+  double rho = 0.0;          // |R(1)| / R(0), in [0, 1]
   double power_dbfs = -200.0;
   bool occupied = false;
 };
 
 /// Estimate occupancy of one captured channel from its lag autocorrelation.
 [[nodiscard]] AutocorrOccupancyEstimate estimate_occupancy_autocorr(
-    std::span<const dsp::Sample> capture,
-    const AutocorrOccupancyConfig& config = {});
+    std::span<const dsp::Sample> capture);
 
 /// Duty-cycle bookkeeping across repeated sweeps.
 class OccupancyTracker {
  public:
-  explicit OccupancyTracker(std::vector<Channel> channels,
-                            OccupancyConfig config = {})
-      : channels_(std::move(channels)), config_(config),
-        occupied_counts_(channels_.size(), 0) {}
+  explicit OccupancyTracker(std::vector<Channel> channels)
+      : channels_(std::move(channels)), occupied_counts_(channels_.size(), 0) {}
 
   void ingest(const SweepResult& sweep);
 
@@ -94,7 +78,6 @@ class OccupancyTracker {
 
  private:
   std::vector<Channel> channels_;
-  OccupancyConfig config_;
   std::vector<std::size_t> occupied_counts_;
   std::size_t sweeps_ = 0;
 };

@@ -6,6 +6,15 @@
 
 namespace speccal::monitor {
 
+namespace {
+
+/// Inverse-distance-weighting exponent.
+constexpr double kIdwExponent = 2.0;
+/// Observations beyond this range do not influence a query point.
+constexpr double kMaxRangeM = 30e3;
+
+}  // namespace
+
 bool RadioEnvironmentMap::ingest(NodeObservation observation) {
   if (!observation.band_usable || observation.trust_weight < config_.min_trust) {
     ++rejected_;
@@ -22,10 +31,10 @@ std::optional<RemEstimate> RadioEnvironmentMap::estimate(
   std::size_t contributors = 0;
   for (const auto& obs : observations_) {
     const double d = geo::haversine_m(where, obs.position);
-    if (d > config_.max_range_m) continue;
+    if (d > kMaxRangeM) continue;
     // IDW with a 1 m floor so a co-located node does not blow up.
     const double w =
-        obs.trust_weight / std::pow(std::max(d, 1.0), config_.idw_exponent);
+        obs.trust_weight / std::pow(std::max(d, 1.0), kIdwExponent);
     weight_sum += w;
     // Interpolate in the dB domain: received-power fields are log-normal
     // (shadowing), and a linear-milliwatt mean would let a single strong

@@ -29,10 +29,6 @@ struct NodeObservation {
 };
 
 struct RemConfig {
-  /// Inverse-distance-weighting exponent.
-  double idw_exponent = 2.0;
-  /// Observations beyond this range do not influence a query point.
-  double max_range_m = 30e3;
   /// Minimum trust for an observation to be admitted at all.
   double min_trust = 0.3;
 };

@@ -18,42 +18,11 @@
 
 namespace speccal::monitor {
 
-/// Per-hop presence pre-check (DESIGN.md §14): a Goertzel comb of
-/// `comb_bins` teeth spread across the hop bandwidth, averaged over a few
-/// sub-segments of the dwell prefix, decides whether anything in the hop
-/// rises above its own low-quantile tooth. Hops with no contrast
-/// short-circuit the Welch estimate and synthesize a flat PSD from the
-/// capture's mean power (Parseval-consistent, so stitched band power and
-/// floor statistics are unchanged for white-noise hops). Limitations are
-/// inherent to a contrast detector: a narrowband tone parked exactly
-/// between two teeth, or a signal flat across the *entire* hop, reads as a
-/// raised floor — disable the gate for adversarial survey work. Skip rates
-/// are published as speccal_gate_scan_{pass,skip}_total.
-struct ScanGateConfig {
-  bool enabled = true;
-  /// Comb teeth spread evenly across the hop bandwidth (>= 4).
-  std::size_t comb_bins = 16;
-  /// Pass when the loudest tooth clears the low-quantile tooth by this.
-  double min_snr_db = 6.0;
-  /// Fraction of the dwell the comb inspects.
-  double gate_fraction = 0.25;
-  /// Quantile of the tooth powers used as the contrast reference; low, so
-  /// a signal covering most teeth still compares against true noise teeth.
-  double floor_quantile = 0.15;
-};
+/// Welch settings of every hop's PSD.
+inline constexpr dsp::WelchConfig kScanWelch{};
 
 struct ScanConfig {
-  double sample_rate_hz = 8e6;
-  /// Usable bandwidth per hop (skip the filter roll-off at the edges).
-  double usable_fraction = 0.8;
-  double dwell_s = 0.01;
   double gain_db = 30.0;
-  dsp::WelchConfig welch;
-  /// Quantile used for the per-hop noise-floor estimate. Low enough that a
-  /// hop mostly filled by one wideband signal still reads its true floor.
-  double floor_quantile = 0.15;
-  /// Presence pre-check that lets vacant hops skip the Welch estimate.
-  ScanGateConfig gate;
 };
 
 /// PSD of one tuner hop.
@@ -85,8 +54,8 @@ class SpectrumScanner {
  public:
   explicit SpectrumScanner(ScanConfig config = {}) noexcept : config_(config) {}
 
-  /// Sweep [start_hz, stop_hz]; hops are placed every
-  /// usable_fraction * sample_rate. Hops the device cannot tune are
+  /// Sweep [start_hz, stop_hz]; hops are placed every usable fraction of
+  /// the sample rate (0.8 * 8 MHz). Hops the device cannot tune are
   /// recorded with tune_ok = false (a calibration-relevant failure).
   [[nodiscard]] SweepResult sweep(sdr::Device& device, double start_hz,
                                   double stop_hz) const;

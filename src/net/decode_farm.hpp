@@ -91,9 +91,6 @@ class DecodeFarm {
   DecodeFarmStats run(SegmentQueue& queue, calib::NodeRegistry& registry);
 
   [[nodiscard]] const DecodeFarmConfig& config() const noexcept { return config_; }
-  [[nodiscard]] std::size_t registered_nodes() const noexcept {
-    return manifests_.size();
-  }
 
  private:
   struct StreamState;

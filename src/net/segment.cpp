@@ -375,7 +375,6 @@ Segment SegmentWriter::encode(const CaptureMeta& meta, std::uint8_t seg_flags,
                          segment.bytes.data(), segment.bytes.size() - kCrcSize)));
 
   ++sequence_;
-  bytes_ += segment.bytes.size();
   static obs::Counter& segments =
       obs::Registry::global().counter("speccal_net_segments_encoded_total");
   static obs::Counter& wire_bytes =

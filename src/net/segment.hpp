@@ -185,7 +185,6 @@ class SegmentWriter {
 
   [[nodiscard]] std::uint32_t stream_id() const noexcept { return stream_id_; }
   [[nodiscard]] std::uint32_t segments_written() const noexcept { return sequence_; }
-  [[nodiscard]] std::uint64_t bytes_written() const noexcept { return bytes_; }
   [[nodiscard]] const SegmentWriterConfig& config() const noexcept { return config_; }
 
  private:
@@ -196,7 +195,6 @@ class SegmentWriter {
   std::uint32_t stream_id_ = 0;
   std::uint32_t sequence_ = 0;
   std::uint32_t capture_index_ = 0;
-  std::uint64_t bytes_ = 0;
 };
 
 /// IEEE 754 binary16 conversions (round-to-nearest-even; values beyond

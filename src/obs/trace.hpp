@@ -70,7 +70,6 @@ class TraceSession {
   void name_thread(std::string_view name, int sort_index = -1);
 
   [[nodiscard]] std::size_t event_count() const;
-  [[nodiscard]] clock::time_point start_time() const noexcept { return t0_; }
 
   /// Full Chrome trace document:
   ///   {"traceEvents":[...metadata + X events...],"displayTimeUnit":"ms"}

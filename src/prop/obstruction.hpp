@@ -76,7 +76,6 @@ class ObstructionMap {
                                              double threshold_db = 15.0) const;
 
   [[nodiscard]] const std::vector<Screen>& screens() const noexcept { return screens_; }
-  [[nodiscard]] double leakage_ceiling_db() const noexcept { return leakage_ceiling_db_; }
 
  private:
   std::vector<Screen> screens_;

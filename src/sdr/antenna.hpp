@@ -43,8 +43,6 @@ class AntennaModel {
   void set_directional(double peak_azimuth_deg, double front_to_back_db) noexcept;
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
-  [[nodiscard]] double min_rated_hz() const noexcept { return response_.front().freq_hz; }
-  [[nodiscard]] double max_rated_hz() const noexcept { return response_.back().freq_hz; }
 
  private:
   std::string name_;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
-#include <string>
 
 #include "dsp/iq.hpp"
 #include "obs/metrics.hpp"
@@ -17,6 +15,35 @@ namespace {
 /// (7.8 kHz bins at 8 Msps, against a 5.38 MHz band).
 constexpr dsp::WelchConfig kWelch{};
 
+// ATSC pilot fast-path gate (DESIGN.md §14): before paying for the full
+// integration, a three-bin Goertzel over a short capture prefix tests the
+// pilot bin against two nearby reference bins. Channels with no pilot
+// (vacant, or not ATSC) short-circuit to an abbreviated integration over
+// kSkipFraction of the capture — the reading keeps its absolute
+// calibration (same estimator, fewer samples), at a fraction of the cost.
+// Skip rates are published as speccal_gate_tv_pilot_{pass,skip}_total.
+
+/// Expected pilot placement relative to the tuned channel center.
+constexpr double kGatePilotOffsetHz = kPilotOffsetFromCenterHz;
+/// Reference (noise-floor) bins sit this far either side of the pilot.
+constexpr double kRefSpacingHz = 250e3;
+/// Pass when the pilot bin clears the mean reference bin by this margin.
+constexpr double kGateMinSnrDb = 6.0;
+/// Fraction of the capture the gate inspects.
+constexpr double kGateFraction = 0.1;
+/// Fraction of the capture integrated when the gate skips.
+constexpr double kSkipFraction = 0.1;
+
+static_assert(kMeterCaptureDurationS * kMeterSampleRateHz >=
+                  static_cast<double>(kWelch.segment_size),
+              "the capture must hold one Welch segment");
+static_assert((kGatePilotOffsetHz < 0.0 ? -kGatePilotOffsetHz : kGatePilotOffsetHz) +
+                      kRefSpacingHz <
+                  kMeterSampleRateHz / 2.0,
+              "the pilot probe's bins must sit inside Nyquist");
+static_assert(kGateFraction > 0.0 && kGateFraction <= 1.0 && kSkipFraction > 0.0 &&
+              kSkipFraction <= 1.0);
+
 /// Floor on gate/skip prefix lengths so abbreviated readings still average
 /// several Welch segments (4096 samples hold seven).
 constexpr std::size_t kMinPrefixSamples = 4096;
@@ -26,58 +53,20 @@ constexpr std::size_t kMinPrefixSamples = 4096;
   return std::min(total, std::max(kMinPrefixSamples, want));
 }
 
-PowerMeterConfig validated(PowerMeterConfig config) {
-  if (!(config.sample_rate_hz > 0.0))
-    throw std::invalid_argument(
-        "PowerMeterConfig.sample_rate_hz must be positive (got " +
-        std::to_string(config.sample_rate_hz) + ")");
-  if (!(config.capture_duration_s * config.sample_rate_hz >=
-        static_cast<double>(kWelch.segment_size)))
-    throw std::invalid_argument(
-        "PowerMeterConfig.capture_duration_s must hold one " +
-        std::to_string(kWelch.segment_size) + "-sample Welch segment at sample_rate_hz (got " +
-        std::to_string(config.capture_duration_s) + ")");
-  if (!(config.measure_bandwidth_hz > 0.0) ||
-      config.measure_bandwidth_hz >= config.sample_rate_hz)
-    throw std::invalid_argument(
-        "PowerMeterConfig.measure_bandwidth_hz must be in (0, sample_rate_hz) "
-        "(got " + std::to_string(config.measure_bandwidth_hz) + ")");
-  const auto& gate = config.pilot_gate;
-  if (!(gate.gate_fraction > 0.0 && gate.gate_fraction <= 1.0))
-    throw std::invalid_argument(
-        "PilotGateConfig.gate_fraction must be in (0, 1] (got " +
-        std::to_string(gate.gate_fraction) + ")");
-  if (!(gate.skip_fraction > 0.0 && gate.skip_fraction <= 1.0))
-    throw std::invalid_argument(
-        "PilotGateConfig.skip_fraction must be in (0, 1] (got " +
-        std::to_string(gate.skip_fraction) + ")");
-  if (!(gate.ref_spacing_hz > 0.0) ||
-      std::abs(gate.pilot_offset_hz) + gate.ref_spacing_hz >=
-          config.sample_rate_hz / 2.0)
-    throw std::invalid_argument(
-        "PilotGateConfig.ref_spacing_hz must be positive with pilot and "
-        "reference bins inside Nyquist (got " +
-        std::to_string(gate.ref_spacing_hz) + ")");
-  return config;
-}
-
 }  // namespace
 
 PowerMeter::PowerMeter(PowerMeterConfig config)
-    : config_(validated(config)),
+    : config_(config),
       welch_(kWelch),
       // Pilot bin plus one reference bin either side; offsets are relative
       // to the tuned center, so one probe serves every channel.
-      pilot_probe_({config_.pilot_gate.pilot_offset_hz,
-                    config_.pilot_gate.pilot_offset_hz +
-                        config_.pilot_gate.ref_spacing_hz,
-                    config_.pilot_gate.pilot_offset_hz -
-                        config_.pilot_gate.ref_spacing_hz},
-                   config_.sample_rate_hz) {}
+      pilot_probe_({kGatePilotOffsetHz, kGatePilotOffsetHz + kRefSpacingHz,
+                    kGatePilotOffsetHz - kRefSpacingHz},
+                   kMeterSampleRateHz) {}
 
 // Three-bin Goertzel over the capture prefix, averaged over a few
 // sub-segments: pass when the pilot bin clears the mean of the two
-// reference bins by min_snr_db. For an occupied ATSC channel the pilot
+// reference bins by kGateMinSnrDb. For an occupied ATSC channel the pilot
 // concentrates ~7% of the channel power into one bin, >20 dB above the
 // per-bin in-band floor even at these shortened segment lengths, so the
 // margin is comfortable at the detection threshold (test_dsp_simd bounds
@@ -86,8 +75,7 @@ PowerMeter::PowerMeter(PowerMeterConfig config)
 // would false-pass ~10% of vacant channels; averaging 4 segments drops
 // that to ~0.1% without touching the pilot's coherent power.
 bool PowerMeter::pilot_present(std::span<const dsp::Sample> capture) const {
-  const std::size_t n =
-      prefix_length(capture.size(), config_.pilot_gate.gate_fraction);
+  const std::size_t n = prefix_length(capture.size(), kGateFraction);
   if (n == 0) return false;
   constexpr std::size_t kAverages = 4;
   const std::size_t seg = std::max<std::size_t>(1, n / kAverages);
@@ -101,20 +89,18 @@ bool PowerMeter::pilot_present(std::span<const dsp::Sample> capture) const {
     floor += 0.5 * (pilot_probe_.power(1) + pilot_probe_.power(2));
   }
   if (pilot <= 1e-20) return false;
-  return pilot >= util::db_to_ratio(config_.pilot_gate.min_snr_db) *
-                      std::max(floor, 1e-30);
+  return pilot >= util::db_to_ratio(kGateMinSnrDb) * std::max(floor, 1e-30);
 }
 
 double PowerMeter::integrate_spectral(std::span<const dsp::Sample> capture,
                                       std::size_t& samples_used) const {
   // Parseval in the frequency domain: the PSD bins sum to the mean power,
   // so the bins inside the band sum to the in-band power.
-  welch_.estimate_into(capture, config_.sample_rate_hz, psd_);
+  welch_.estimate_into(capture, kMeterSampleRateHz, psd_);
   if (psd_.segments_averaged == 0) return 0.0;
   samples_used = (psd_.segments_averaged - 1) * welch_.hop() + kWelch.segment_size;
-  return dsp::band_power(psd_, config_.sample_rate_hz,
-                         -config_.measure_bandwidth_hz / 2.0,
-                         config_.measure_bandwidth_hz / 2.0);
+  return dsp::band_power(psd_, kMeterSampleRateHz, -kMeasureBandwidthHz / 2.0,
+                         kMeasureBandwidthHz / 2.0);
 }
 
 ChannelPowerReading PowerMeter::measure_channel(sdr::Device& device,
@@ -127,11 +113,11 @@ ChannelPowerReading PowerMeter::measure_channel(sdr::Device& device,
 
   device.set_gain_mode(sdr::GainMode::kManual);
   device.set_gain_db(config_.fixed_gain_db);
-  if (!device.tune(*center, config_.sample_rate_hz)) return out;
+  if (!device.tune(*center, kMeterSampleRateHz)) return out;
   out.tune_ok = true;
 
   capture_.resize(
-      static_cast<std::size_t>(config_.capture_duration_s * config_.sample_rate_hz));
+      static_cast<std::size_t>(kMeterCaptureDurationS * kMeterSampleRateHz));
   device.capture_into(capture_);
   const std::span<const dsp::Sample> capture(capture_);
   // Occupancy cross-check over the raw capture (one O(N) pass, no device
@@ -141,19 +127,16 @@ ChannelPowerReading PowerMeter::measure_channel(sdr::Device& device,
   // Pilot fast-path gate: channels without an ATSC pilot integrate an
   // abbreviated prefix instead of the whole capture (DESIGN.md §14).
   std::span<const dsp::Sample> block(capture);
-  if (config_.pilot_gate.enabled) {
-    static obs::Counter& gate_pass =
-        obs::Registry::global().counter("speccal_gate_tv_pilot_pass_total");
-    static obs::Counter& gate_skip =
-        obs::Registry::global().counter("speccal_gate_tv_pilot_skip_total");
-    if (pilot_present(block)) {
-      gate_pass.add();
-    } else {
-      gate_skip.add();
-      out.gated = true;
-      block = block.first(
-          prefix_length(block.size(), config_.pilot_gate.skip_fraction));
-    }
+  static obs::Counter& gate_pass =
+      obs::Registry::global().counter("speccal_gate_tv_pilot_pass_total");
+  static obs::Counter& gate_skip =
+      obs::Registry::global().counter("speccal_gate_tv_pilot_skip_total");
+  if (pilot_present(block)) {
+    gate_pass.add();
+  } else {
+    gate_skip.add();
+    out.gated = true;
+    block = block.first(prefix_length(block.size(), kSkipFraction));
   }
 
   const double mean = integrate_spectral(block, out.samples_used);

@@ -21,50 +21,21 @@
 
 namespace speccal::tv {
 
-/// ATSC pilot fast-path gate (DESIGN.md §14): before paying for the full
-/// integration, a three-bin Goertzel over a short capture prefix tests the
-/// pilot bin against two nearby reference bins. Channels with no pilot
-/// (vacant, or not ATSC) short-circuit to an abbreviated integration over
-/// `skip_fraction` of the capture — the reading keeps its absolute
-/// calibration (same estimator, fewer samples), at a fraction of the cost.
-/// Skip rates are published as speccal_gate_tv_pilot_{pass,skip}_total.
-struct PilotGateConfig {
-  bool enabled = true;
-  /// Expected pilot placement relative to the tuned channel center.
-  double pilot_offset_hz = kPilotOffsetFromCenterHz;
-  /// Reference (noise-floor) bins sit this far either side of the pilot.
-  double ref_spacing_hz = 250e3;
-  /// Pass when the pilot bin clears the mean reference bin by this margin.
-  double min_snr_db = 6.0;
-  /// Fraction of the capture the gate inspects.
-  double gate_fraction = 0.1;
-  /// Fraction of the capture integrated when the gate skips.
-  double skip_fraction = 0.1;
-};
+/// Capture sample rate; must cover one 6 MHz channel.
+inline constexpr double kMeterSampleRateHz = 8e6;
+/// Capture length [s]; the Welch average spans the whole capture.
+inline constexpr double kMeterCaptureDurationS = 0.02;
+/// Width of the band integrated around the channel center (8VSB occupies
+/// ~5.38 MHz).
+inline constexpr double kMeasureBandwidthHz = 5.38e6;
+static_assert(kMeasureBandwidthHz > 0.0 && kMeasureBandwidthHz < kMeterSampleRateHz,
+              "the measured band must fit inside Nyquist");
 
-/// Validation contract (enforced by PowerMeter's constructor; violations
-/// throw std::invalid_argument naming the offending parameter):
-///   - sample_rate_hz must be positive;
-///   - capture_duration_s * sample_rate_hz must reach one 1024-sample
-///     Welch segment (a shorter capture has nothing to integrate);
-///   - measure_bandwidth_hz must be positive and smaller than
-///     sample_rate_hz (the band must fit inside Nyquist);
-///   - pilot_gate.gate_fraction / skip_fraction must be in (0, 1];
-///   - pilot_gate.ref_spacing_hz must be positive and the pilot/reference
-///     bins must fit inside Nyquist.
 struct PowerMeterConfig {
-  double sample_rate_hz = 8e6;     // must cover one 6 MHz channel
   double fixed_gain_db = 20.0;     // paper: fixed to keep readings comparable.
                                    // Low enough that strong locals don't clip,
                                    // high enough that weak channels stay above
                                    // the ADC quantization floor.
-  /// Capture length [s]; the Welch average spans the whole capture.
-  double capture_duration_s = 0.02;
-  /// Width of the band integrated around the channel center (8VSB occupies
-  /// ~5.38 MHz).
-  double measure_bandwidth_hz = 5.38e6;
-  /// Pilot presence fast-path (see PilotGateConfig).
-  PilotGateConfig pilot_gate;
 };
 
 struct ChannelPowerReading {
@@ -92,8 +63,6 @@ struct ChannelPowerReading {
 /// worker its own meter.
 class PowerMeter {
  public:
-  /// Validates the config (see PowerMeterConfig). Throws
-  /// std::invalid_argument on contract violations.
   explicit PowerMeter(PowerMeterConfig config = {});
 
   /// Tune, capture, integrate. The device is left in manual gain.
@@ -102,8 +71,6 @@ class PowerMeter {
   /// Sweep a list of channels.
   [[nodiscard]] std::vector<ChannelPowerReading> sweep(sdr::Device& device,
                                                        const std::vector<int>& channels) const;
-
-  [[nodiscard]] const PowerMeterConfig& config() const noexcept { return config_; }
 
  private:
   [[nodiscard]] double integrate_spectral(std::span<const dsp::Sample> capture,

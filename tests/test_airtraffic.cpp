@@ -74,8 +74,8 @@ TEST(Sky, FleetRespectsConfigBounds) {
   std::set<std::uint32_t> icaos;
   for (const auto& spec : sky.fleet()) {
     EXPECT_LE(g::haversine_m(cfg.center, spec.start), cfg.radius_m + 1.0);
-    EXPECT_GE(spec.ground_speed_kt, cfg.min_speed_kt);
-    EXPECT_LE(spec.ground_speed_kt, cfg.max_speed_kt);
+    EXPECT_GE(spec.ground_speed_kt, at::kMinSpeedKt);
+    EXPECT_LE(spec.ground_speed_kt, at::kMaxSpeedKt);
     EXPECT_GE(spec.tx_power_dbm, 48.0);  // 75 W floor
     EXPECT_LE(spec.tx_power_dbm, 57.5);  // 500 W ceiling
     icaos.insert(spec.icao);

@@ -104,9 +104,8 @@ TEST(CaptureAlloc, TvSweepCapturesIntoOneBuffer) {
   (void)tv::PowerMeter().sweep(*node, channels);
   const std::size_t spent_allocations = g_allocations - allocations;
   const std::size_t spent_bytes = g_bytes - bytes;
-  const tv::PowerMeterConfig config;
   const auto capture_bytes =
-      static_cast<std::size_t>(config.capture_duration_s * config.sample_rate_hz) *
+      static_cast<std::size_t>(tv::kMeterCaptureDurationS * tv::kMeterSampleRateHz) *
       sizeof(dsp::Sample);
   EXPECT_LT(spent_bytes, 2 * capture_bytes) << spent_allocations << " allocations";
 }

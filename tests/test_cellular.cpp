@@ -259,7 +259,7 @@ TEST(Pss, NoiseOnlyStaysBelowThreshold) {
   for (auto& v : capture)
     v = {static_cast<float>(rng.normal()), static_cast<float>(rng.normal())};
   const auto det = c::pss_search(capture);
-  EXPECT_LT(det.metric, c::PssSearchConfig{}.detection_threshold);
+  EXPECT_LT(det.metric, c::kPssDetectionThreshold);
 }
 
 TEST(Pss, SelfInterferenceLimitedCellStillDetected) {
@@ -270,7 +270,7 @@ TEST(Pss, SelfInterferenceLimitedCellStillDetected) {
   const auto capture = synthetic_pss_capture(1, 1.0, grid_sigma, 4321, 53);
   const auto det = c::pss_search(capture);
   EXPECT_EQ(det.nid2, 1);
-  EXPECT_GT(det.metric, c::PssSearchConfig{}.detection_threshold);
+  EXPECT_GT(det.metric, c::kPssDetectionThreshold);
 }
 
 namespace {

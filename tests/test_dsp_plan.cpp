@@ -186,7 +186,7 @@ TEST(ScratchArena, ReusesWithoutRegrowth) {
     EXPECT_EQ(s.size(), 4096u);
   }
   EXPECT_EQ(arena.capacity_bytes(), cap);  // steady state: no growth
-  auto smaller = arena.real_f64(16);
+  auto smaller = arena.complex_f32(16);
   EXPECT_EQ(smaller.size(), 16u);
 }
 

@@ -199,7 +199,7 @@ TEST(StagePlan, ArmedAnomalyScanChainsAfterLoCal) {
   const auto& scan = specs.back();
   EXPECT_EQ(scan.stage, cal::Stage::kAnomalyScan);
   EXPECT_TRUE(scan.uses_device);
-  // Chained onto the end of the device chain (lo_cal is enabled here).
+  // Chained onto the end of the device chain: lo_cal.
   ASSERT_EQ(scan.deps.size(), 1u);
   EXPECT_EQ(scan.deps.front(), cal::Stage::kLoCal);
 }
@@ -231,7 +231,9 @@ TEST(NodeTaskSet, RunAllMatchesCalibrateBitwise) {
 
 TEST(FleetExecutor, ZeroNodeFleetIsEmptySummary) {
   const auto world = sc::make_world(kSeed);
-  cal::FleetCalibrator calibrator(cal::CalibrationPipeline(world, fast_config()));
+  cal::RunConfig run;
+  run.pipeline = fast_config();
+  cal::FleetCalibrator calibrator(world, run);
   cal::NodeRegistry registry;
   const auto summary = calibrator.run({}, registry);
   EXPECT_EQ(summary.total, 0u);
@@ -345,21 +347,6 @@ TEST(RunConfig, ValidationNamesOffendingField) {
   }
 
   run = {};
-  run.pipeline.retry.jitter_fraction = 1.5;
-  EXPECT_THROW(run.validate(), std::invalid_argument);
-
-  run = {};
-  run.pipeline.cell_search_radius_m = 0.0;
-  try {
-    run.validate();
-    FAIL() << "expected invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(
-        std::string(e.what()).find("RunConfig.pipeline.cell_search_radius_m"),
-        std::string::npos);
-  }
-
-  run = {};
   EXPECT_NO_THROW(run.validate());
 }
 
@@ -367,7 +354,7 @@ TEST(RunConfig, FleetCtorValidatesAndAppliesThreads) {
   const auto world = sc::make_world(kSeed);
   cal::RunConfig bad;
   bad.pipeline = fast_config();
-  bad.pipeline.retry.backoff_multiplier = 0.5;
+  bad.pipeline.retry.max_attempts = 0;
   EXPECT_THROW(cal::FleetCalibrator(world, bad), std::invalid_argument);
 
   cal::RunConfig good;

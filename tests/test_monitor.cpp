@@ -292,7 +292,7 @@ TEST(Occupancy, AutocorrNoFalseNegativesAtWelchThresholdSnr) {
   // the anomaly detector's cross-check would veto findings the PSD residual
   // legitimately raised. Ten seeded trials, zero misses allowed, plus zero
   // false alarms on the matching noise-only captures.
-  const double snr_db = m::OccupancyConfig{}.detection_margin_db;
+  const double snr_db = m::kDetectionMarginDb;
   const double snr = std::pow(10.0, snr_db / 10.0);
   constexpr std::size_t kN = 16384;
   for (int trial = 0; trial < 10; ++trial) {
@@ -387,7 +387,7 @@ TEST(Rem, RangeLimit) {
   ASSERT_TRUE(rem.ingest(obs));
   const auto far_query =
       rem.estimate(speccal::geo::destination(obs.position, 0.0, 50e3));
-  EXPECT_FALSE(far_query.has_value());  // beyond max_range_m
+  EXPECT_FALSE(far_query.has_value());  // beyond the 30 km range
 }
 
 // --------------------------------------------------------- LO calibration ----

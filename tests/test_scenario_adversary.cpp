@@ -277,15 +277,14 @@ TEST(AdversaryRf, RoguePssCorrelatesAsAStandardsCorrectCell) {
   ASSERT_EQ(sources.size(), 1u);
   // 20 ms at the search rate covers four PSS half-frame repetitions (the
   // cell searcher's own capture length).
-  const cel::PssSearchConfig search;
   const auto count =
-      static_cast<std::size_t>(search.capture_duration_s * cel::kSearchRateHz);
+      static_cast<std::size_t>(cel::kPssCaptureDurationS * cel::kSearchRateHz);
   const auto cap = render_all(sources, 2145e6, cel::kSearchRateHz, count, fix.rx);
   ASSERT_FALSE(is_silent(cap));
   // pss_search reports the raw combined-correlation peak; the searcher's
   // threshold + PCI-consistency check is what declares sync.
   const auto detection = cel::pss_search(cap);
-  EXPECT_GE(detection.metric, search.detection_threshold);
+  EXPECT_GE(detection.metric, cel::kPssDetectionThreshold);
   EXPECT_EQ(detection.nid2, 499 % 3);  // PCI 499
   EXPECT_TRUE(is_silent(render_all(sources, 731e6, cel::kSearchRateHz, count, fix.rx)));
 }

@@ -2,8 +2,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <stdexcept>
-#include <string>
 
 #include "prop/pathloss.hpp"
 #include "sdr/emitter.hpp"
@@ -94,7 +92,7 @@ TEST(PowerMeter, MeasuresKnownPowerThroughFullPipeline) {
   EXPECT_GT(reading.samples_used, 10000u);
   // Overlapping Welch segments share samples; each is counted once.
   EXPECT_LE(reading.samples_used,
-            static_cast<std::size_t>(config.capture_duration_s * config.sample_rate_hz));
+            static_cast<std::size_t>(tv::kMeterCaptureDurationS * tv::kMeterSampleRateHz));
   // The band integral reads ~0.14 dB under the rendered link-budget power:
   // the pilot sits 559 Hz below the band's lower edge, and the Welch bins
   // straddling the edge count ~58% of it (DESIGN.md §2).
@@ -152,35 +150,6 @@ TEST(PowerMeter, InvalidChannelReportsFailure) {
   const auto reading = meter.measure_channel(*fix.device, 99);
   EXPECT_FALSE(reading.tune_ok);
   EXPECT_EQ(reading.samples_used, 0u);
-}
-
-TEST(PowerMeter, ValidationNamesOffendingParameter) {
-  const auto expect_throw_naming = [](tv::PowerMeterConfig cfg, const char* param) {
-    try {
-      tv::PowerMeter meter(cfg);
-      FAIL() << "expected std::invalid_argument naming " << param;
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find(param), std::string::npos)
-          << "message was: " << e.what();
-    }
-  };
-
-  tv::PowerMeterConfig cfg;
-  cfg.sample_rate_hz = 0.0;
-  expect_throw_naming(cfg, "sample_rate_hz");
-
-  cfg = {};
-  cfg.capture_duration_s = -1.0;
-  expect_throw_naming(cfg, "capture_duration_s");
-
-  cfg = {};
-  cfg.capture_duration_s = 1000.0 / cfg.sample_rate_hz;  // under one Welch segment
-  expect_throw_naming(cfg, "capture_duration_s");
-
-  cfg = {};
-  cfg.measure_bandwidth_hz = cfg.sample_rate_hz;  // must fit inside Nyquist
-  expect_throw_naming(cfg, "measure_bandwidth_hz");
-
 }
 
 TEST(PowerMeter, ObstructionAttenuatesReading) {
