@@ -21,7 +21,7 @@
 
 #include "net/segment.hpp"
 #include "util/json.hpp"
-#include "util/json_reader.hpp"
+#include "util/args.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -229,23 +229,12 @@ int main(int argc, char** argv) {
   std::string json_path = "BENCH_ingest.json";
   int iters = 8;
   try {
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg.rfind("--json=", 0) == 0) {
-        json_path = arg.substr(7);
-      } else if (arg.rfind("--iters=", 0) == 0) {
-        iters = util::JsonReader::integer<int>(arg.substr(8), "--iters");
-        if (iters < 1)
-          throw std::invalid_argument("--iters = " + arg.substr(8) +
-                                      " must be at least 1");
-      } else {
-        throw std::invalid_argument("unknown flag " + arg);
-      }
-    }
+    util::Args args(argc, argv);
+    json_path = args.text("--json").value_or(json_path);
+    iters = args.integer("--iters", iters, 1);
+    args.finish();
   } catch (const std::invalid_argument& e) {
-    std::cerr << "ingest: " << e.what() << "\n"
-              << "usage: ingest [--json=PATH] [--iters=N]\n";
-    return 2;
+    return util::usage_error("ingest", e.what(), "[--json=PATH] [--iters=N]");
   }
 
   const auto captures = make_captures();

@@ -26,7 +26,7 @@
 #include "dsp/window.hpp"
 #include "sdr/sim.hpp"
 #include "util/json.hpp"
-#include "util/json_reader.hpp"
+#include "util/args.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -336,24 +336,14 @@ int main(int argc, char** argv) {
 
   // Peel off our flags; everything else goes to google-benchmark.
   std::vector<char*> gbench_args;
-  gbench_args.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--json=", 0) == 0) {
-      json_path = arg.substr(7);
-    } else if (arg.rfind("--compare-iters=", 0) == 0) {
-      try {
-        compare_iters = util::JsonReader::integer<std::size_t>(arg.substr(16),
-                                                               "--compare-iters");
-      } catch (const std::invalid_argument& e) {
-        std::cerr << "micro_dsp: " << e.what() << "\n"
-                  << "usage: micro_dsp [gbench flags] [--json=PATH] "
-                     "[--compare-iters=N]\n";
-        return 2;
-      }
-    } else {
-      gbench_args.push_back(argv[i]);
-    }
+  try {
+    util::Args args(argc, argv);
+    json_path = args.text("--json").value_or(json_path);
+    compare_iters = args.integer("--compare-iters", compare_iters);
+    gbench_args = args.rest();
+  } catch (const std::invalid_argument& e) {
+    return util::usage_error("micro_dsp", e.what(),
+                             "[gbench flags] [--json=PATH] [--compare-iters=N]");
   }
   int gbench_argc = static_cast<int>(gbench_args.size());
   benchmark::Initialize(&gbench_argc, gbench_args.data());

@@ -6,10 +6,7 @@
 // with tracing off, the obs layer costs < 2% throughput on every capture
 // stage — a counter update is one relaxed load plus one relaxed fetch_add,
 // paid per *block*, never per sample; a disabled event append is one
-// relaxed load. An obs::Sampler ticks on every rep boundary (the heartbeat
-// pattern fleet_audit runs), so the registry carries live snapshot traffic
-// through the gated section — on the rep boundary rather than a competing
-// thread, because the timing loops must stay clean on 1-2 core CI runners.
+// relaxed load.
 //
 // The gated rows include "event_append": a full capture block plus one
 // journal append — the worst plausible cold-path rate (events fire on
@@ -42,13 +39,12 @@
 #include "dsp/nco.hpp"
 #include "obs/eventlog.hpp"
 #include "obs/metrics.hpp"
-#include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 #include "scenario/testbed.hpp"
 #include "sdr/emitter.hpp"
 #include "sdr/sim.hpp"
 #include "util/json.hpp"
-#include "util/json_reader.hpp"
+#include "util/args.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
@@ -75,10 +71,6 @@ void set_obs_enabled(bool enabled) {
   obs::set_metrics_enabled(enabled);
   obs::set_events_enabled(enabled);
 }
-
-/// Heartbeat sampler ticked between timing reps (never inside a timed
-/// loop — the loops must stay clean on 1-2 core CI runners).
-obs::Sampler* g_sampler = nullptr;
 
 /// Best (minimum) wall time for `iters` calls of fn, over `reps` runs.
 template <typename Fn>
@@ -131,7 +123,6 @@ double time_stage(const std::string& name, std::size_t iters, Fn&& fn,
       on_best = std::min(on_best, best_wall_s(iters, 1, fn));
       set_obs_enabled(false);
       off_best = std::min(off_best, best_wall_s(iters, 1, fn));
-      if (g_sampler != nullptr) g_sampler->sample();
     }
     set_obs_enabled(true);
     return std::max(0.0, on_best / off_best - 1.0);
@@ -189,32 +180,19 @@ int main(int argc, char** argv) {
   std::string trace_path;
   std::size_t iters = 0;  // auto-calibrate
   try {
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg.rfind("--json=", 0) == 0)
-        json_path = arg.substr(7);
-      else if (arg.rfind("--iters=", 0) == 0)
-        iters = util::JsonReader::integer<std::size_t>(arg.substr(8), "--iters");
-      else if (arg.rfind("--trace-out=", 0) == 0)
-        trace_path = arg.substr(12);
-      else
-        throw std::invalid_argument("unknown flag " + arg);
-    }
+    util::Args args(argc, argv);
+    json_path = args.text("--json").value_or(json_path);
+    iters = args.integer("--iters", iters);
+    trace_path = args.text("--trace-out").value_or("");
+    args.finish();
   } catch (const std::invalid_argument& e) {
-    std::cerr << "obs_overhead: " << e.what() << "\n"
-              << "usage: obs_overhead [--json=PATH] [--iters=N] [--trace-out=PATH]\n";
-    return 2;
+    return util::usage_error("obs_overhead", e.what(),
+                             "[--json=PATH] [--iters=N] [--trace-out=PATH]");
   }
 
   const Scene scene;
   std::vector<Row> rows;
   std::vector<std::pair<std::string, double>> overheads;
-
-  // The gated section runs with a live sampler ticking on rep boundaries
-  // (see time_stage), so registry snapshot traffic flows through the whole
-  // measurement window.
-  obs::Sampler sampler(obs::Registry::global());
-  g_sampler = &sampler;
 
   // Stage 1: shaped-emitter render (RenderScratch grow counters live here).
   {
@@ -292,8 +270,6 @@ int main(int argc, char** argv) {
                    },
                    rows));
   }
-  g_sampler = nullptr;  // the untimed pipeline section runs without ticks
-  const std::size_t sampler_frames = sampler.frame_count();
 
   // ---------------------------------------------- tracing cost (ungated) ----
   // One node through the full pipeline, untraced vs traced. Spans sit at
@@ -367,8 +343,6 @@ int main(int argc, char** argv) {
               << "% (gate " << util::format_fixed(kMaxOverhead * 100.0, 2)
               << "%) -> " << (pass ? "ok" : "FAIL") << "\n";
   }
-  std::cout << "background sampler: " << sampler_frames
-            << " heartbeat frame(s) during the gated section\n";
   std::cout << "pipeline calibrate: " << util::format_fixed(untraced_ms, 1)
             << " ms untraced, " << util::format_fixed(traced_ms, 1)
             << " ms traced (" << trace_events << " spans over "
@@ -384,11 +358,9 @@ int main(int argc, char** argv) {
   w.key("bench");
   w.value("obs_overhead");
   w.key("schema_version");
-  w.value(2);
+  w.value(3);
   w.key("block_size");
   w.value(kBlock);
-  w.key("sampler_frames");
-  w.value(sampler_frames);
   w.key("max_overhead");
   w.value(kMaxOverhead);
   w.key("results");

@@ -16,20 +16,20 @@
 #include "adsb/io.hpp"
 #include "airtraffic/adsb_source.hpp"
 #include "scenario/testbed.hpp"
-#include "util/json_reader.hpp"
+#include "util/args.hpp"
 
 using namespace speccal;
 
 int main(int argc, char** argv) {
   double duration_s = 3.0;
   try {
-    if (argc > 1) duration_s = util::JsonReader::number(argv[1], "seconds");
+    util::Args args(argc, argv);
+    duration_s = args.number("seconds", duration_s);
+    args.finish();
     if (duration_s <= 0.0)
-      throw std::invalid_argument("seconds = " + std::string(argv[1]) +
-                                  " must be positive");
+      throw std::invalid_argument("seconds must be positive");
   } catch (const std::invalid_argument& e) {
-    std::cerr << "adsb_feed: " << e.what() << "\nusage: adsb_feed [seconds]\n";
-    return 2;
+    return util::usage_error("adsb_feed", e.what(), "[seconds]");
   }
   constexpr std::uint64_t kSeed = 23;
 

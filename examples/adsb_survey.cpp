@@ -9,7 +9,7 @@
 
 #include "calib/fov.hpp"
 #include "scenario/testbed.hpp"
-#include "util/json_reader.hpp"
+#include "util/args.hpp"
 #include "util/table.hpp"
 
 using namespace speccal;
@@ -18,16 +18,14 @@ int main(int argc, char** argv) {
   double duration_s = 30.0;
   std::size_t aircraft = 70;
   try {
-    if (argc > 1) duration_s = util::JsonReader::number(argv[1], "seconds");
-    if (argc > 2)
-      aircraft = util::JsonReader::integer<std::size_t>(argv[2], "aircraft");
+    util::Args args(argc, argv);
+    duration_s = args.number("seconds", duration_s);
+    aircraft = args.integer("aircraft", aircraft);
+    args.finish();
     if (duration_s <= 0.0)
-      throw std::invalid_argument("seconds = " + std::string(argv[1]) +
-                                  " must be positive");
+      throw std::invalid_argument("seconds must be positive");
   } catch (const std::invalid_argument& e) {
-    std::cerr << "adsb_survey: " << e.what() << "\n"
-              << "usage: adsb_survey [seconds] [aircraft]\n";
-    return 2;
+    return util::usage_error("adsb_survey", e.what(), "[seconds] [aircraft]");
   }
 
   constexpr std::uint64_t kSeed = 7;

@@ -13,6 +13,7 @@
 
 #include "cbrs/verify.hpp"
 #include "scenario/testbed.hpp"
+#include "util/args.hpp"
 #include "util/table.hpp"
 
 using namespace speccal;
@@ -21,17 +22,21 @@ int main(int argc, char** argv) {
   scenario::Site site = scenario::Site::kIndoor;
   bool claims_indoor = true;
   cbrs::Category category = cbrs::Category::kA;
-  if (argc > 1) {
-    const std::string s = argv[1];
-    if (s == "rooftop") site = scenario::Site::kRooftop;
-    else if (s == "window") site = scenario::Site::kWindow;
-    else if (s != "indoor") {
-      std::cerr << "usage: cbrs_verify [rooftop|window|indoor] [indoor|outdoor] [A|B]\n";
-      return 2;
-    }
+  try {
+    util::Args args(argc, argv);
+    site = args.word("site", site,
+                     {{"rooftop", scenario::Site::kRooftop},
+                      {"window", scenario::Site::kWindow},
+                      {"indoor", scenario::Site::kIndoor}});
+    claims_indoor = args.word("deployment", claims_indoor,
+                              {{"indoor", true}, {"outdoor", false}});
+    category = args.word("category", category,
+                         {{"A", cbrs::Category::kA}, {"B", cbrs::Category::kB}});
+    args.finish();
+  } catch (const std::invalid_argument& e) {
+    return util::usage_error("cbrs_verify", e.what(),
+                             "[rooftop|window|indoor] [indoor|outdoor] [A|B]");
   }
-  if (argc > 2) claims_indoor = std::string(argv[2]) == "indoor";
-  if (argc > 3 && std::string(argv[3]) == "B") category = cbrs::Category::kB;
 
   constexpr std::uint64_t kSeed = 29;
   const auto world = scenario::make_world(kSeed);

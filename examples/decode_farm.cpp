@@ -8,10 +8,9 @@
 // a transparent decorator), then the farm replays the decoded streams
 // through the same pipeline. With --encoding=float32 the two reports must
 // match byte for byte (stage wall-clock timings excluded) — the binary
-// exits 2 on any mismatch, which is the round-trip gate CI runs. Lossy
+// exits 3 on any mismatch, which is the round-trip gate CI runs. Lossy
 // encodings skip the gate and report the per-node trust-score deltas
 // instead, showing what 2-4x wire compression costs in calibration terms.
-#include <cstring>
 #include <iostream>
 #include <map>
 #include <sstream>
@@ -24,7 +23,7 @@
 #include "scenario/testbed.hpp"
 #include "sdr/segmentize.hpp"
 #include "sdr/sim.hpp"
-#include "util/json_reader.hpp"
+#include "util/args.hpp"
 #include "util/table.hpp"
 
 using namespace speccal;
@@ -38,17 +37,7 @@ struct Options {
   net::Encoding encoding = net::Encoding::kFloat32;
   unsigned decode_threads = 2;
   unsigned calibrate_threads = 2;
-  std::size_t queue_capacity = 0;  // 0 = sized to hold the whole stream
 };
-
-bool parse_encoding(const std::string& name, net::Encoding& out) {
-  if (name == "float32") out = net::Encoding::kFloat32;
-  else if (name == "float16") out = net::Encoding::kFloat16;
-  else if (name == "fixed8") out = net::Encoding::kFixed8;
-  else if (name == "fixed12") out = net::Encoding::kFixed12;
-  else return false;
-  return true;
-}
 
 /// Deterministic measurement content of a report (timings excluded).
 std::string report_fingerprint(const calib::CalibrationReport& report) {
@@ -61,37 +50,24 @@ std::string report_fingerprint(const calib::CalibrationReport& report) {
 
 int main(int argc, char** argv) {
   Options opt;
-  // Counts follow util::JsonReader's number rule, converted exactly.
-  using util::JsonReader;
   try {
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg.rfind("--nodes=", 0) == 0) {
-        opt.nodes = JsonReader::integer<std::size_t>(arg.substr(8), "--nodes");
-      } else if (arg.rfind("--encoding=", 0) == 0) {
-        if (!parse_encoding(arg.substr(11), opt.encoding)) {
-          std::cerr << "unknown encoding (float32|float16|fixed8|fixed12)\n";
-          return 1;
-        }
-      } else if (arg.rfind("--decode-threads=", 0) == 0) {
-        opt.decode_threads =
-            JsonReader::integer<unsigned>(arg.substr(17), "--decode-threads");
-      } else if (arg.rfind("--calibrate-threads=", 0) == 0) {
-        opt.calibrate_threads =
-            JsonReader::integer<unsigned>(arg.substr(20), "--calibrate-threads");
-      } else if (arg.rfind("--queue-capacity=", 0) == 0) {
-        opt.queue_capacity =
-            JsonReader::integer<std::size_t>(arg.substr(17), "--queue-capacity");
-      } else {
-        throw std::invalid_argument("unknown flag " + arg);
-      }
-    }
+    util::Args args(argc, argv);
+    opt.nodes = args.integer("--nodes", opt.nodes, 1);
+    opt.encoding = args.word("--encoding", opt.encoding,
+                             {{"float32", net::Encoding::kFloat32},
+                              {"float16", net::Encoding::kFloat16},
+                              {"fixed8", net::Encoding::kFixed8},
+                              {"fixed12", net::Encoding::kFixed12}});
+    opt.decode_threads = args.integer("--decode-threads", opt.decode_threads);
+    opt.calibrate_threads =
+        args.integer("--calibrate-threads", opt.calibrate_threads);
+    args.finish();
+    net::DecodeFarmConfig{opt.decode_threads}.validate();
   } catch (const std::invalid_argument& e) {
-    std::cerr << "decode_farm: " << e.what() << "\n"
-              << "usage: decode_farm [--nodes=N] [--encoding=E]\n"
-                 "                   [--decode-threads=N] [--calibrate-threads=N]\n"
-                 "                   [--queue-capacity=N]\n";
-    return 1;
+    return util::usage_error(
+        "decode_farm", e.what(),
+        "[--nodes=N] [--encoding=float32|float16|fixed8|fixed12] "
+        "[--decode-threads=N] [--calibrate-threads=N]");
   }
 
   const auto world = scenario::make_world(kSeed);
@@ -102,10 +78,9 @@ int main(int argc, char** argv) {
 
   // In this demo the whole stream is buffered before the farm drains it
   // (a live deployment would run producers and farm concurrently), so the
-  // default queue capacity must hold every segment or pushes would block
-  // with nobody popping.
-  const std::size_t capacity =
-      opt.queue_capacity ? opt.queue_capacity : opt.nodes * 4096;
+  // queue must hold every segment or pushes would block with nobody
+  // popping.
+  const std::size_t capacity = opt.nodes * 4096;
   net::SegmentQueue queue(capacity);
 
   std::cout << "decode_farm: " << opt.nodes << " nodes, encoding "
@@ -181,7 +156,7 @@ int main(int argc, char** argv) {
   if (stats.nodes_calibrated != opt.nodes || stats.decode_errors != 0) {
     std::cerr << "decode_farm: FAIL — not every node made it through the "
                  "farm\n";
-    return 2;
+    return 3;
   }
 
   if (opt.encoding == net::Encoding::kFloat32) {
@@ -200,7 +175,7 @@ int main(int argc, char** argv) {
     if (mismatches != 0) {
       std::cerr << "decode_farm: FAIL — " << mismatches << " of " << opt.nodes
                 << " round-trip reports differ from the in-process run\n";
-      return 2;
+      return 3;
     }
     std::cout << "round-trip gate: all " << opt.nodes
               << " float32 reports bitwise-identical to the in-process run\n";

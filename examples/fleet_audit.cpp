@@ -23,11 +23,10 @@
 #include "obs/eventlog.hpp"
 #include "scenario/adversary.hpp"
 #include "obs/metrics.hpp"
-#include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 #include "scenario/testbed.hpp"
 #include "sdr/fault.hpp"
-#include "util/json_reader.hpp"
+#include "util/args.hpp"
 #include "util/table.hpp"
 
 using namespace speccal;
@@ -87,11 +86,6 @@ std::vector<FleetEntry> generate_fleet(std::size_t count) {
 int main(int argc, char** argv) {
   constexpr std::uint64_t kSeed = 13;
 
-  // fleet_audit [threads] [--threads=N] [--nodes=N] [--metrics-out=PATH]
-  //             [--trace-out=PATH] [--fault-profile=<name|json>]
-  //             [--anomaly-profile=<name|json>] [--anomaly-out=PATH]
-  //             [--health-out=PATH] [--events-out=PATH] [--samples-out=PATH]
-  //             [--slo-budget-ms=MS]
   // Fault profiles script a reproducible chaos run: built-ins "none",
   // "flaky20", "chaos", or an inline JSON document (sdr/fault.hpp). With a
   // profile active the retry/quarantine policy is enabled and the run
@@ -105,63 +99,51 @@ int main(int argc, char** argv) {
   // fleet, which must produce zero findings).
   // --health-out scores every node (calib/health.hpp), prints the worst-N
   // table and writes the health JSON; --events-out dumps the structured
-  // event journal as JSON-lines; --samples-out records a registry delta
-  // time-series ticked on the progress heartbeat; --slo-budget-ms arms the
-  // same latency budget for every pipeline stage.
+  // event journal as JSON-lines. --metrics-out is also rewritten every 100
+  // nodes, the mid-run snapshot of a long run.
   unsigned threads = 0;
   std::size_t fleet_size = 20;
   std::string metrics_out;
   std::string trace_out;
   std::string health_out;
   std::string events_out;
-  std::string samples_out;
-  double slo_budget_ms = 0.0;
   std::string anomaly_out;
   sdr::FaultProfile fault_profile;
   scenario::AdversaryProfile anomaly_profile;
   bool anomaly_armed = false;
-  // Numeric values follow util::JsonReader's number rule, converted
-  // exactly; a malformed one is a usage error like a bad profile.
+  // A malformed flag or profile, or a profile that does not fit the fleet,
+  // is a usage error.
   try {
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg.rfind("--threads=", 0) == 0)
-        threads =
-            util::JsonReader::integer<unsigned>(arg.substr(10), "--threads");
-      else if (arg.rfind("--nodes=", 0) == 0)
-        fleet_size =
-            util::JsonReader::integer<std::size_t>(arg.substr(8), "--nodes");
-      else if (arg.rfind("--metrics-out=", 0) == 0)
-        metrics_out = arg.substr(14);
-      else if (arg.rfind("--trace-out=", 0) == 0)
-        trace_out = arg.substr(12);
-      else if (arg.rfind("--health-out=", 0) == 0)
-        health_out = arg.substr(13);
-      else if (arg.rfind("--events-out=", 0) == 0)
-        events_out = arg.substr(13);
-      else if (arg.rfind("--samples-out=", 0) == 0)
-        samples_out = arg.substr(14);
-      else if (arg.rfind("--slo-budget-ms=", 0) == 0)
-        slo_budget_ms =
-            util::JsonReader::number(arg.substr(16), "--slo-budget-ms");
-      else if (arg.rfind("--anomaly-out=", 0) == 0) {
-        anomaly_out = arg.substr(14);
-        anomaly_armed = true;
-      } else if (arg.rfind("--anomaly-profile=", 0) == 0) {
-        anomaly_profile = scenario::make_adversary_profile(arg.substr(18));
-        anomaly_armed = true;
-      } else if (arg.rfind("--fault-profile=", 0) == 0)
-        fault_profile = sdr::make_fault_profile(arg.substr(16));
-      else if (arg.rfind("--", 0) != 0)
-        threads = util::JsonReader::integer<unsigned>(arg, "thread count");
-      else {
-        std::cerr << "fleet_audit: unknown flag " << arg << "\n";
-        return 2;
-      }
+    util::Args args(argc, argv);
+    threads = args.integer("--threads", threads);
+    fleet_size = args.integer("--nodes", fleet_size);
+    metrics_out = args.text("--metrics-out").value_or("");
+    trace_out = args.text("--trace-out").value_or("");
+    health_out = args.text("--health-out").value_or("");
+    events_out = args.text("--events-out").value_or("");
+    if (const auto out = args.text("--anomaly-out")) {
+      anomaly_out = *out;
+      anomaly_armed = true;
     }
-  } catch (const std::exception& e) {
-    std::cerr << "fleet_audit: " << e.what() << "\n";
-    return 2;
+    if (const auto profile = args.text("--anomaly-profile")) {
+      anomaly_profile = scenario::make_adversary_profile(*profile);
+      anomaly_armed = true;
+    }
+    if (const auto profile = args.text("--fault-profile"))
+      fault_profile = sdr::make_fault_profile(*profile);
+    args.finish();
+    for (const auto& node : anomaly_profile.nodes)
+      if (node.index >= fleet_size)
+        throw std::invalid_argument(
+            "anomaly profile scripts node index " + std::to_string(node.index) +
+            " but the fleet has only " + std::to_string(fleet_size) +
+            " node(s)");
+  } catch (const std::invalid_argument& e) {
+    return util::usage_error(
+        "fleet_audit", e.what(),
+        "[--threads=N] [--nodes=N] [--metrics-out=PATH] [--trace-out=PATH] "
+        "[--fault-profile=<name|json>] [--anomaly-profile=<name|json>] "
+        "[--anomaly-out=PATH] [--health-out=PATH] [--events-out=PATH]");
   }
   const bool chaos = !fault_profile.empty();
 
@@ -169,17 +151,6 @@ int main(int argc, char** argv) {
   // (node -> stages) on its worker's track in chrome://tracing / Perfetto.
   std::optional<speccal::obs::TraceSession> trace;
   if (!trace_out.empty()) trace.emplace();
-
-  // Arm the same latency budget on every pipeline stage; StageTimer feeds
-  // the tracker on each stage completion.
-  if (slo_budget_ms > 0.0)
-    for (std::size_t s = 0; s < calib::kStageCount; ++s)
-      obs::SloTracker::global().set_budget(
-          calib::to_string(static_cast<calib::Stage>(s)), slo_budget_ms);
-
-  // Rolling registry snapshots, ticked on the progress heartbeat below.
-  std::optional<obs::Sampler> sampler;
-  if (!samples_out.empty()) sampler.emplace(obs::Registry::global());
 
   const auto world = scenario::make_world(kSeed);
   const auto fleet = generate_fleet(fleet_size);
@@ -213,7 +184,7 @@ int main(int argc, char** argv) {
   run.executor.threads = threads;
   run.executor.trace = trace ? &*trace : nullptr;
   calib::FleetConfig fleet_cfg;
-  fleet_cfg.on_progress = [&metrics_out, &sampler](const calib::FleetProgress& p) {
+  fleet_cfg.on_progress = [&metrics_out](const calib::FleetProgress& p) {
     // Per-node lines for small fleets; at 1000-node scale print a heartbeat
     // every 100 nodes (plus aborts/quarantines, which are always notable).
     const bool verbose = p.total <= 50;
@@ -222,15 +193,12 @@ int main(int argc, char** argv) {
       std::cout << "  [" << p.completed << "/" << p.total << "] " << p.node_id
                 << (p.ok ? "" : "  (ABORTED)")
                 << (p.quarantined ? "  (QUARANTINED)" : "") << "\n";
-    // Heartbeat flush: a killed long run still leaves a current metrics file
-    // and sampler timeline behind. on_progress runs under the fleet's
-    // bookkeeping lock, so the rewrite is serialized.
-    if (p.completed % 100 == 0 && p.completed < p.total) {
-      if (sampler) sampler->sample();
-      if (!metrics_out.empty()) {
-        std::ofstream os(metrics_out);
-        if (os) obs::Registry::global().write_json(os);
-      }
+    // Heartbeat flush: a killed long run still leaves a current metrics
+    // file behind. on_progress runs under the fleet's bookkeeping lock, so
+    // the rewrite is serialized.
+    if (!metrics_out.empty() && p.completed % 100 == 0 && p.completed < p.total) {
+      std::ofstream os(metrics_out);
+      if (os) obs::Registry::global().write_json(os);
     }
   };
   calib::FleetCalibrator calibrator(world, run, fleet_cfg);
@@ -472,17 +440,6 @@ int main(int argc, char** argv) {
                       : "")
               << "\n";
   }
-  if (sampler) {
-    sampler->sample();  // final frame so short runs still record a timeline
-    std::ofstream os(samples_out);
-    if (!os) {
-      std::cerr << "fleet_audit: cannot write " << samples_out << "\n";
-      return 1;
-    }
-    sampler->write_json(os);
-    std::cout << "Wrote " << sampler->frame_count() << " sampler frame(s) to "
-              << samples_out << "\n";
-  }
   if (!metrics_out.empty()) {
     std::ofstream os(metrics_out);
     if (!os) {
@@ -517,16 +474,8 @@ int main(int argc, char** argv) {
   // (100% recall) and nothing else may be (zero false positives).
   if (anomalies) {
     std::set<std::string> expected;
-    for (const auto& node : anomaly_profile.nodes) {
-      if (node.index < fleet.size()) {
-        expected.insert(fleet[node.index].id);
-      } else {
-        std::cerr << "fleet_audit: anomaly profile scripts node index "
-                  << node.index << " but the fleet has only " << fleet.size()
-                  << " node(s)\n";
-        return 2;
-      }
-    }
+    for (const auto& node : anomaly_profile.nodes)
+      expected.insert(fleet[node.index].id);
     bool ok = true;
     for (const auto& id : expected)
       if (!anomalies->flagged(id)) {

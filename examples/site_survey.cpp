@@ -11,20 +11,22 @@
 #include <string>
 
 #include "scenario/testbed.hpp"
+#include "util/args.hpp"
 #include "util/table.hpp"
 
 using namespace speccal;
 
 int main(int argc, char** argv) {
   scenario::Site site = scenario::Site::kRooftop;
-  if (argc > 1) {
-    const std::string arg = argv[1];
-    if (arg == "window") site = scenario::Site::kWindow;
-    else if (arg == "indoor") site = scenario::Site::kIndoor;
-    else if (arg != "rooftop") {
-      std::cerr << "usage: site_survey [rooftop|window|indoor]\n";
-      return 2;
-    }
+  try {
+    util::Args args(argc, argv);
+    site = args.word("site", site,
+                     {{"rooftop", scenario::Site::kRooftop},
+                      {"window", scenario::Site::kWindow},
+                      {"indoor", scenario::Site::kIndoor}});
+    args.finish();
+  } catch (const std::invalid_argument& e) {
+    return util::usage_error("site_survey", e.what(), "[rooftop|window|indoor]");
   }
 
   constexpr std::uint64_t kSeed = 11;

@@ -85,8 +85,6 @@ class PpmDemodulator {
   /// the block are ignored (the caller overlaps blocks by kFrameSamples).
   [[nodiscard]] std::vector<Detection> process(std::span<const dsp::Sample> samples) const;
 
-  [[nodiscard]] const DemodConfig& config() const noexcept { return config_; }
-
  private:
   DemodConfig config_;
 };

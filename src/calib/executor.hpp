@@ -67,8 +67,6 @@ class StageExecutor {
   /// before any thread is spawned).
   ExecutorStats run(const TaskGraph& graph);
 
-  [[nodiscard]] const ExecutorConfig& config() const noexcept { return config_; }
-
   /// Threads run() will actually use for a graph of `tasks` tasks.
   [[nodiscard]] unsigned effective_threads(std::size_t tasks) const noexcept;
 

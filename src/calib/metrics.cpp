@@ -5,7 +5,6 @@
 #include <chrono>
 
 #include "obs/metrics.hpp"
-#include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 #include "util/json.hpp"
 
@@ -104,13 +103,6 @@ void StageTimer::stop() noexcept {
   s.wall_ms += wall_ms;
   s.ran = true;
   stage_histogram(stage_).observe(wall_ms);
-  try {
-    // One relaxed load unless a per-stage latency budget is armed
-    // (obs/sampler.hpp); then budget/breach/burn-rate accounting.
-    obs::SloTracker::global().observe(to_string(stage_), wall_ms);
-  } catch (...) {
-    // SLO bookkeeping must never take down a calibration.
-  }
   if (trace_ != nullptr) {
     // Same clock readings as the sample above: the trace span, the
     // histogram observation and the report wall time can never disagree.

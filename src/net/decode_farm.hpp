@@ -90,8 +90,6 @@ class DecodeFarm {
   /// completed stream into `registry`. Blocks; one run at a time per farm.
   DecodeFarmStats run(SegmentQueue& queue, calib::NodeRegistry& registry);
 
-  [[nodiscard]] const DecodeFarmConfig& config() const noexcept { return config_; }
-
  private:
   struct StreamState;
 

@@ -185,7 +185,6 @@ class SegmentWriter {
 
   [[nodiscard]] std::uint32_t stream_id() const noexcept { return stream_id_; }
   [[nodiscard]] std::uint32_t segments_written() const noexcept { return sequence_; }
-  [[nodiscard]] const SegmentWriterConfig& config() const noexcept { return config_; }
 
  private:
   [[nodiscard]] Segment encode(const CaptureMeta& meta, std::uint8_t seg_flags,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -78,8 +77,8 @@ bool valid_label_name(std::string_view name) noexcept {
   return true;
 }
 
-// Prometheus text-format label-value escaping: backslash, double quote and
-// newline are the only characters the spec escapes.
+// Label-value escaping (backslash, double quote, newline) keeps the
+// rendered label set, and so the registry key, injective.
 void write_escaped_label_value(std::ostream& os, std::string_view value) {
   for (char c : value) {
     switch (c) {
@@ -100,21 +99,6 @@ void write_label_set(std::ostream& os, const Labels& labels) {
     os << '"';
   }
   os << '}';
-}
-
-std::string render_series(std::string_view name, const Labels& labels) {
-  std::ostringstream oss;
-  oss << name;
-  if (!labels.empty()) write_label_set(oss, labels);
-  return oss.str();
-}
-
-// The Prometheus text format spells non-finite values NaN / +Inf / -Inf;
-// ostream would print nan / inf, which scrapers reject.
-void write_prom_double(std::ostream& os, double v) {
-  if (std::isnan(v)) os << "NaN";
-  else if (std::isinf(v)) os << (v > 0 ? "+Inf" : "-Inf");
-  else os << v;
 }
 
 }  // namespace
@@ -207,32 +191,6 @@ std::size_t Registry::size() const {
   return metrics_.size();
 }
 
-std::vector<ScalarSample> Registry::scalar_samples() const {
-  const std::scoped_lock lock(mutex_);
-  std::vector<ScalarSample> out;
-  out.reserve(metrics_.size());
-  for (const auto& [key, entry] : metrics_) {
-    const std::string series = render_series(entry.name, entry.labels);
-    switch (entry.kind) {
-      case MetricKind::kCounter:
-        out.push_back({series, MetricKind::kCounter,
-                       static_cast<double>(entry.counter->value())});
-        break;
-      case MetricKind::kGauge:
-        out.push_back({series, MetricKind::kGauge, entry.gauge->value()});
-        break;
-      case MetricKind::kHistogram:
-        // Flattened to the two monotonic scalars a sampler can delta.
-        out.push_back({series + "_count", MetricKind::kCounter,
-                       static_cast<double>(entry.histogram->count())});
-        out.push_back(
-            {series + "_sum", MetricKind::kCounter, entry.histogram->sum()});
-        break;
-    }
-  }
-  return out;
-}
-
 void Registry::write_json(util::JsonWriter& w) const {
   const std::scoped_lock lock(mutex_);
   w.begin_object();
@@ -295,50 +253,6 @@ void Registry::write_json(std::ostream& os) const {
   util::JsonWriter w(os);
   write_json(w);
   os << "\n";
-}
-
-void Registry::write_text(std::ostream& os) const {
-  const std::scoped_lock lock(mutex_);
-  // Map order keeps every label set of one name contiguous (see the key
-  // scheme in the header), so one TYPE line per name needs only a
-  // last-name check, not a seen-set.
-  std::string_view last_name;
-  for (const auto& [key, entry] : metrics_) {
-    if (entry.name != last_name) {
-      os << "# TYPE " << entry.name << ' ' << to_string(entry.kind) << "\n";
-      last_name = entry.name;
-    }
-    switch (entry.kind) {
-      case MetricKind::kCounter:
-        os << entry.name;
-        if (!entry.labels.empty()) write_label_set(os, entry.labels);
-        os << ' ' << entry.counter->value() << "\n";
-        break;
-      case MetricKind::kGauge:
-        os << entry.name;
-        if (!entry.labels.empty()) write_label_set(os, entry.labels);
-        os << ' ';
-        write_prom_double(os, entry.gauge->value());
-        os << "\n";
-        break;
-      case MetricKind::kHistogram: {
-        const Histogram& h = *entry.histogram;
-        std::uint64_t cumulative = 0;
-        for (std::size_t i = 0; i <= h.bounds().size(); ++i) {
-          cumulative += h.bucket_count(i);
-          os << entry.name << "_bucket{le=\"";
-          if (i < h.bounds().size()) os << h.bounds()[i];
-          else os << "+Inf";
-          os << "\"} " << cumulative << "\n";
-        }
-        os << entry.name << "_sum ";
-        write_prom_double(os, h.sum());
-        os << "\n";
-        os << entry.name << "_count " << h.count() << "\n";
-        break;
-      }
-    }
-  }
 }
 
 }  // namespace speccal::obs

@@ -144,17 +144,7 @@ struct Label {
 };
 using Labels = std::vector<Label>;
 
-/// Flat scalar view of one exposition row, for samplers that track series
-/// over time. Histograms flatten to two monotonic rows (`<name>_count`,
-/// `<name>_sum`, both reported as kCounter). `series` is the full
-/// Prometheus-rendered identity (`name{k="v"}`), unique per row.
-struct ScalarSample {
-  std::string series;
-  MetricKind kind{};
-  double value = 0.0;
-};
-
-/// Thread-safe name -> metric registry with text and JSON exposition.
+/// Thread-safe name -> metric registry with JSON exposition.
 ///
 /// counter()/gauge()/histogram() get-or-create: the same (name, labels)
 /// always returns the same handle, so independent call sites share one
@@ -188,11 +178,6 @@ class Registry {
 
   [[nodiscard]] std::size_t size() const;
 
-  /// Iteration API for obs::Sampler: every series flattened to scalars,
-  /// ordered by series identity (stable across calls as long as no new
-  /// series register in between).
-  [[nodiscard]] std::vector<ScalarSample> scalar_samples() const;
-
   /// JSON exposition:
   ///   {"metrics":[{"name":...,"type":"counter","value":N}, ...]}
   /// Labeled series additionally carry {"labels":{...}}. Histograms carry
@@ -201,11 +186,6 @@ class Registry {
   void write_json(util::JsonWriter& w) const;
   /// Standalone-document convenience.
   void write_json(std::ostream& os) const;
-
-  /// Prometheus-style text exposition (# TYPE lines once per metric name,
-  /// `name{k="v"}` series, `_bucket{le="..."}`; non-finite values render as
-  /// NaN/+Inf/-Inf per the text-format spec, not ostream's nan/inf).
-  void write_text(std::ostream& os) const;
 
  private:
   struct Entry {

@@ -45,8 +45,6 @@ class FixedEmitterSource final : public SignalSource {
 
   void render(const CaptureContext& ctx, std::span<dsp::Sample> accum) override;
 
-  [[nodiscard]] const EmitterConfig& config() const noexcept { return config_; }
-
   /// Received total in-channel power [dBm] at the given receiver
   /// environment — the model-level answer the waveform realizes.
   [[nodiscard]] double received_power_dbm(const RxEnvironment& rx) const noexcept;

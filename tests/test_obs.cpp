@@ -1,5 +1,5 @@
 // Tests: the observability layer — metrics registry (counters, gauges,
-// histograms, exposition formats), trace sessions/spans and their Chrome
+// histograms, JSON exposition), trace sessions/spans and their Chrome
 // trace_event export, StageTimer's exception-safety contract, and the
 // fleet-level wiring. The concurrency cases are built to run clean under
 // ThreadSanitizer (the CI TSan job builds this binary).
@@ -7,8 +7,10 @@
 
 #include <cmath>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,7 +19,6 @@
 #include "dsp/plan.hpp"
 #include "obs/eventlog.hpp"
 #include "obs/metrics.hpp"
-#include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 #include "scenario/testbed.hpp"
 #include "util/json_reader.hpp"
@@ -180,22 +181,6 @@ TEST(Exposition, JsonParsesAndCarriesCumulativeBuckets) {
   EXPECT_DOUBLE_EQ(buckets[1].at("count").number(), 2.0);  // cumulative
   EXPECT_EQ(buckets[2].at("le").str(), "+Inf");
   EXPECT_DOUBLE_EQ(buckets[2].at("count").number(), 3.0);
-}
-
-TEST(Exposition, TextFormatHasTypeLinesAndInfBucket) {
-  obs::Registry reg;
-  reg.counter("speccal_test_a_total").add();
-  const double bounds[] = {1.0};
-  reg.histogram("speccal_test_c_ms", bounds).observe(2.0);
-
-  std::ostringstream os;
-  reg.write_text(os);
-  const std::string text = os.str();
-  EXPECT_NE(text.find("# TYPE speccal_test_a_total counter"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE speccal_test_c_ms histogram"), std::string::npos);
-  EXPECT_NE(text.find("speccal_test_c_ms_bucket{le=\"+Inf\"} 1"),
-            std::string::npos);
-  EXPECT_NE(text.find("speccal_test_c_ms_count 1"), std::string::npos);
 }
 
 // ---------------------------------------------------------------- spans ----
@@ -461,24 +446,24 @@ TEST(RegistryLabels, KindIsSharedAcrossEveryLabelSetOfOneName) {
                std::invalid_argument);
 }
 
-TEST(RegistryLabels, TextExpositionEscapesValuesAndDedupesTypeLines) {
+TEST(RegistryLabels, EscapedLabelValuesStayDistinctSeries) {
+  // The registry key renders label values escaped (backslash, quote,
+  // newline); the rendering is injective, so a value that contains the
+  // escapes cannot merge with another series.
   obs::Registry reg;
   reg.gauge("speccal_test_escape", {{"node", "a\\b\"c\nd"}}).set(1.0);
   reg.gauge("speccal_test_escape", {{"node", "plain"}}).set(2.0);
   std::ostringstream os;
-  reg.write_text(os);
-  const std::string text = os.str();
-  // Backslash, quote and newline escape per the Prometheus text format.
-  EXPECT_NE(text.find("speccal_test_escape{node=\"a\\\\b\\\"c\\nd\"} 1"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("speccal_test_escape{node=\"plain\"} 2"),
-            std::string::npos);
-  // One TYPE line covers every label set of the name.
-  const std::string type_line = "# TYPE speccal_test_escape gauge";
-  const auto first = text.find(type_line);
-  ASSERT_NE(first, std::string::npos);
-  EXPECT_EQ(text.find(type_line, first + 1), std::string::npos);
+  reg.write_json(os);
+  const auto rows = tj::parse(os.str()).at("metrics").array();
+  ASSERT_EQ(rows.size(), 2u) << os.str();
+  std::map<std::string, double> by_node;
+  for (const auto& row : rows) {
+    EXPECT_EQ(row.at("name").str(), "speccal_test_escape");
+    by_node[row.at("labels").at("node").str()] = row.at("value").number();
+  }
+  EXPECT_EQ(by_node, (std::map<std::string, double>{{"a\\b\"c\nd", 1.0},
+                                                     {"plain", 2.0}}));
 }
 
 TEST(RegistryLabels, JsonExpositionCarriesLabelsAndStaysParseable) {
@@ -494,56 +479,18 @@ TEST(RegistryLabels, JsonExpositionCarriesLabelsAndStaysParseable) {
   EXPECT_DOUBLE_EQ(rows[0].at("value").number(), 3.5);
 }
 
-TEST(Registry, TextExpositionRendersNonFiniteValues) {
+TEST(Registry, JsonExpositionWritesNonFiniteValuesAsNull) {
   obs::Registry reg;
   reg.gauge("speccal_test_nanval").set(std::nan(""));
   reg.gauge("speccal_test_posinf").set(std::numeric_limits<double>::infinity());
   reg.gauge("speccal_test_neginf").set(-std::numeric_limits<double>::infinity());
-  std::ostringstream os;
-  reg.write_text(os);
-  const std::string text = os.str();
-  // Prometheus text-format spellings, not ostream's locale-y nan/inf.
-  EXPECT_NE(text.find("speccal_test_nanval NaN"), std::string::npos) << text;
-  EXPECT_NE(text.find("speccal_test_posinf +Inf"), std::string::npos);
-  EXPECT_NE(text.find("speccal_test_neginf -Inf"), std::string::npos);
-  // The JSON exposition of the same registry must stay strictly parseable
-  // (the writer maps non-finite to null).
+  // The exposition must stay strictly parseable (the writer maps
+  // non-finite values to null).
   std::ostringstream js;
   reg.write_json(js);
-  EXPECT_NO_THROW((void)tj::parse(js.str()));
-}
-
-TEST(Registry, ScalarSamplesFlattenEverySeries) {
-  obs::Registry reg;
-  reg.counter("speccal_test_c_total").add(3);
-  reg.gauge("speccal_test_g", {{"node", "x"}}).set(7.5);
-  obs::Histogram& h =
-      reg.histogram("speccal_test_h_ms", obs::default_duration_bounds_ms());
-  h.observe(2.0);
-  h.observe(3.0);
-
-  const auto samples = reg.scalar_samples();
-  auto find = [&](const std::string& series) -> const obs::ScalarSample* {
-    for (const auto& s : samples)
-      if (s.series == series) return &s;
-    return nullptr;
-  };
-  const auto* c = find("speccal_test_c_total");
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c->kind, obs::MetricKind::kCounter);
-  EXPECT_DOUBLE_EQ(c->value, 3.0);
-  const auto* g = find("speccal_test_g{node=\"x\"}");
-  ASSERT_NE(g, nullptr);
-  EXPECT_EQ(g->kind, obs::MetricKind::kGauge);
-  EXPECT_DOUBLE_EQ(g->value, 7.5);
-  // Histograms flatten to monotonic _count/_sum rows.
-  const auto* hc = find("speccal_test_h_ms_count");
-  const auto* hs = find("speccal_test_h_ms_sum");
-  ASSERT_NE(hc, nullptr);
-  ASSERT_NE(hs, nullptr);
-  EXPECT_EQ(hc->kind, obs::MetricKind::kCounter);
-  EXPECT_DOUBLE_EQ(hc->value, 2.0);
-  EXPECT_DOUBLE_EQ(hs->value, 5.0);
+  const auto rows = tj::parse(js.str()).at("metrics").array();
+  ASSERT_EQ(rows.size(), 3u);
+  for (const auto& row : rows) EXPECT_TRUE(row.at("value").is_null());
 }
 
 // ------------------------------------------------------------- eventlog ----
@@ -646,139 +593,4 @@ TEST(EventLog, ConcurrentAppendHammerLosesNothing) {
   const auto snap = log.snapshot();
   for (std::size_t k = 1; k < snap.size(); ++k)
     ASSERT_EQ(snap[k].seq, snap[k - 1].seq + 1);
-}
-
-// -------------------------------------------------------------- sampler ----
-
-TEST(Sampler, MaxFramesIsValidated) {
-  obs::Registry reg;
-  EXPECT_THROW(obs::Sampler bad(reg, 0), std::invalid_argument);
-}
-
-TEST(Sampler, RecordsOnlyChangedSeriesPerFrame) {
-  obs::Registry reg;
-  obs::Counter& c = reg.counter("speccal_test_sampled_total");
-  obs::Gauge& g = reg.gauge("speccal_test_sampled_depth");
-  (void)reg.gauge("speccal_test_sampled_idle");  // stays 0 forever
-  obs::Sampler sampler(reg);
-
-  c.add(5);
-  g.set(2.0);
-  EXPECT_EQ(sampler.sample(), 2u);  // frame 0: the two nonzero series
-  EXPECT_EQ(sampler.sample(), 0u);  // nothing moved
-  c.add(1);
-  g.set(1.5);
-  EXPECT_EQ(sampler.sample(), 2u);
-
-  const auto frames = sampler.frames();
-  ASSERT_EQ(frames.size(), 3u);
-  EXPECT_EQ(frames[0].tick, 0u);
-  EXPECT_TRUE(frames[1].points.empty());
-  for (const auto& p : frames[2].points) {
-    if (p.series == "speccal_test_sampled_total") {
-      EXPECT_DOUBLE_EQ(p.value, 6.0);
-      EXPECT_DOUBLE_EQ(p.delta, 1.0);
-    } else {
-      EXPECT_EQ(p.series, "speccal_test_sampled_depth");
-      EXPECT_DOUBLE_EQ(p.value, 1.5);
-      EXPECT_DOUBLE_EQ(p.delta, -0.5);  // gauges move both ways
-    }
-  }
-}
-
-TEST(Sampler, FrameRingEvictsOldestAndExportParses) {
-  obs::Registry reg;
-  obs::Counter& c = reg.counter("speccal_test_ring_total");
-  obs::Sampler sampler(reg, 3);
-  for (int i = 0; i < 5; ++i) {
-    c.add(1);
-    (void)sampler.sample();
-  }
-  EXPECT_EQ(sampler.frame_count(), 3u);
-  EXPECT_EQ(sampler.dropped_frames(), 2u);
-  const auto frames = sampler.frames();
-  ASSERT_EQ(frames.size(), 3u);
-  EXPECT_EQ(frames.front().tick, 2u);  // oldest surviving tick
-  EXPECT_EQ(frames.back().tick, 4u);
-
-  std::ostringstream os;
-  sampler.write_json(os);
-  const auto doc = tj::parse(os.str());
-  EXPECT_EQ(doc.at("schema_version").number(), 1.0);
-  EXPECT_EQ(doc.at("dropped_frames").number(), 2.0);
-  ASSERT_EQ(doc.at("frames").array().size(), 3u);
-  const auto& pts = doc.at("frames").array().back().at("points").array();
-  ASSERT_EQ(pts.size(), 1u);
-  EXPECT_EQ(pts[0].at("series").str(), "speccal_test_ring_total");
-  EXPECT_EQ(pts[0].at("kind").str(), "counter");
-  EXPECT_DOUBLE_EQ(pts[0].at("delta").number(), 1.0);
-}
-
-// ----------------------------------------------------------- SLO tracker ----
-
-TEST(SloTracker, BudgetsAreValidatedAndFastPathIsSilent) {
-  obs::Registry reg;
-  obs::SloTracker slo(reg);
-  EXPECT_THROW(slo.set_budget("survey", 0.0), std::invalid_argument);
-  EXPECT_THROW(slo.set_budget("survey", -1.0), std::invalid_argument);
-  slo.observe("survey", 100.0);  // no budget armed: pure no-op
-  EXPECT_TRUE(slo.snapshot().empty());
-  EXPECT_EQ(reg.size(), 0u);  // nothing registered either
-}
-
-TEST(SloTracker, TracksBreachesAndPublishesBurnRate) {
-  obs::Registry reg;
-  obs::SloTracker slo(reg);
-  slo.set_budget("tv_sweep", 10.0);
-  slo.observe("tv_sweep", 5.0);    // under budget
-  slo.observe("tv_sweep", 15.0);   // breach, 5 ms over
-  slo.observe("tv_sweep", 10.0);   // exactly at budget: not a breach
-  slo.observe("cell_scan", 99.0);  // un-budgeted stage stays invisible
-
-  const auto snap = slo.snapshot();
-  ASSERT_EQ(snap.size(), 1u);
-  const auto& row = snap.front();
-  EXPECT_EQ(row.stage, "tv_sweep");
-  EXPECT_EQ(row.observed, 3u);
-  EXPECT_EQ(row.breaches, 1u);
-  EXPECT_DOUBLE_EQ(row.total_ms, 30.0);
-  EXPECT_DOUBLE_EQ(row.total_over_ms, 5.0);
-  EXPECT_DOUBLE_EQ(row.burn_rate(), 1.0);  // 30 / (10 * 3): at budget overall
-
-  EXPECT_EQ(
-      reg.counter("speccal_slo_stage_observed_total", {{"stage", "tv_sweep"}})
-          .value(),
-      3u);
-  EXPECT_EQ(
-      reg.counter("speccal_slo_stage_breaches_total", {{"stage", "tv_sweep"}})
-          .value(),
-      1u);
-  EXPECT_DOUBLE_EQ(
-      reg.gauge("speccal_slo_stage_burn_rate", {{"stage", "tv_sweep"}}).value(),
-      1.0);
-
-  slo.clear();
-  slo.observe("tv_sweep", 100.0);  // disarmed again
-  EXPECT_TRUE(slo.snapshot().empty());
-}
-
-TEST(SloTracker, StageTimerFeedsGlobalTracker) {
-  // Arm a generous budget on the survey stage, run a StageTimer through its
-  // normal RAII cycle, and confirm the observation landed.
-  auto& slo = obs::SloTracker::global();
-  slo.set_budget("survey", 60000.0);
-  const auto observed_before = [&] {
-    for (const auto& row : slo.snapshot())
-      if (row.stage == "survey") return row.observed;
-    return std::uint64_t{0};
-  }();
-  {
-    cal::StageMetrics metrics;
-    cal::StageTimer timer(metrics, cal::Stage::kSurvey);
-  }
-  std::uint64_t observed_after = 0;
-  for (const auto& row : slo.snapshot())
-    if (row.stage == "survey") observed_after = row.observed;
-  EXPECT_EQ(observed_after, observed_before + 1);
-  slo.clear();  // leave the global tracker disarmed for other tests
 }

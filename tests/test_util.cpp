@@ -1,11 +1,13 @@
-// Unit tests: util (rng, units, table, json writer and reader).
+// Unit tests: util (rng, units, table, json writer and reader, args).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <complex>
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
+#include <optional>
 #include <span>
 #include <sstream>
 #include <string>
@@ -16,6 +18,7 @@
 #include "dsp/welch.hpp"
 #include "scenario/adversary.hpp"
 #include "sdr/fault.hpp"
+#include "util/args.hpp"
 #include "util/json.hpp"
 #include "util/json_reader.hpp"
 #include "util/rng.hpp"
@@ -655,4 +658,122 @@ TEST(JsonReader, SeededProfileMutationFuzz) {
   // Some edits keep the document valid (a digit for a digit, a space).
   EXPECT_GT(accepted, 0u);
   EXPECT_LT(accepted, 4000u);
+}
+
+// ----------------------------------------------------------------- args ----
+
+namespace {
+
+/// A command line as main() receives it; argv[0] is "prog".
+class CommandLine {
+ public:
+  CommandLine(std::initializer_list<const char*> args) : words_{"prog"} {
+    words_.insert(words_.end(), args.begin(), args.end());
+    for (auto& w : words_) argv_.push_back(w.data());
+  }
+  CommandLine(const CommandLine&) = delete;  // argv_ points into words_
+  [[nodiscard]] u::Args args() {
+    return u::Args(static_cast<int>(argv_.size()), argv_.data());
+  }
+
+ private:
+  std::vector<std::string> words_;
+  std::vector<char*> argv_;
+};
+
+}  // namespace
+
+TEST(Args, NumbersFollowTheJsonReaderRule) {
+  CommandLine line{"--nodes=1e3", "--seconds=2.5", "7", "--bad=2.7", "-1"};
+  u::Args args = line.args();
+  EXPECT_EQ(args.integer<std::size_t>("--nodes", 20), 1000u);
+  EXPECT_EQ(args.number("--seconds", 1.0), 2.5);
+  EXPECT_EQ(args.integer("count", 0), 7);
+  EXPECT_EQ(error_of([&] { (void)args.integer("--bad", 0); }),
+            "--bad must be an integer, got 2.7");
+  EXPECT_EQ(error_of([&] { (void)args.integer("aircraft", 0u); }),
+            "aircraft = -1 must not be negative");
+  EXPECT_EQ(args.integer("--absent", 42u), 42u);  // absent: the fallback
+  EXPECT_EQ(args.number("seconds", 0.5), 0.5);
+
+  CommandLine words{"--iters=0", "--nodes=abc", "--x=+1"};
+  u::Args more = words.args();
+  EXPECT_EQ(error_of([&] { (void)more.integer("--iters", 8, 1); }),
+            "--iters = 0 must be at least 1");
+  EXPECT_EQ(error_of([&] { (void)more.integer<std::size_t>("--nodes", 20); }),
+            "--nodes must be a number, got 'abc'");
+  EXPECT_EQ(error_of([&] { (void)more.number("--x", 0.0); }),
+            "--x must be a number, got '+1'");
+}
+
+TEST(Args, WordsComeFromTheListedSet) {
+  CommandLine line{"indoor", "outdoorr", "--encoding=fixed8"};
+  u::Args args = line.args();
+  EXPECT_EQ(args.word("site", 0, {{"rooftop", 1}, {"indoor", 3}}), 3);
+  EXPECT_EQ(error_of([&] {
+              (void)args.word("deployment", true,
+                              {{"indoor", true}, {"outdoor", false}});
+            }),
+            "deployment: unknown value 'outdoorr' (indoor|outdoor)");
+  EXPECT_EQ(args.word<std::string>("--encoding", "float32",
+                                   {{"float32", "f32"}, {"fixed8", "q8"}}),
+            "q8");
+  EXPECT_EQ(args.word("category", 'A', {{"A", 'A'}, {"B", 'B'}}), 'A');
+  args.finish();
+}
+
+TEST(Args, PositionalsReadInOrderAroundFlags) {
+  CommandLine line{"first", "--out=a=b", "second", "--empty="};
+  u::Args args = line.args();
+  EXPECT_EQ(args.text("one"), "first");
+  EXPECT_EQ(args.text("--out"), "a=b");  // the value runs to the end
+  EXPECT_EQ(args.text("two"), "second");
+  EXPECT_EQ(args.text("three"), std::nullopt);
+  EXPECT_EQ(args.text("--empty"), "");
+  EXPECT_EQ(args.text("--missing"), std::nullopt);
+  args.finish();
+}
+
+TEST(Args, UnknownExtraAndRepeatedArgumentsAreErrors) {
+  const auto finish_error = [](CommandLine line, auto&& read) {
+    u::Args args = line.args();
+    return error_of([&] {
+      read(args);
+      args.finish();
+    });
+  };
+  const auto reads_threads = [](u::Args& a) { (void)a.integer("--threads", 0u); };
+  EXPECT_EQ(finish_error({"4"}, reads_threads), "unexpected argument '4'");
+  EXPECT_EQ(finish_error({"--slo-budget-ms=50"}, reads_threads),
+            "unknown flag --slo-budget-ms=50");
+  EXPECT_EQ(finish_error({"--threads=2", "--threads=3"}, reads_threads),
+            "--threads is given twice");
+  EXPECT_EQ(finish_error({"--threads"}, reads_threads),
+            "--threads needs a value (--threads=...)");
+  // A flag name is matched whole, never as a prefix of another flag.
+  EXPECT_EQ(finish_error({"--threadsx=2"}, reads_threads),
+            "unknown flag --threadsx=2");
+  const auto reads_site = [](u::Args& a) { (void)a.text("site"); };
+  EXPECT_EQ(finish_error({"rooftop", "junk"}, reads_site),
+            "unexpected argument 'junk'");
+  EXPECT_EQ(finish_error({"rooftop", "--x=1"}, reads_site), "unknown flag --x=1");
+  EXPECT_EQ(finish_error({"rooftop"}, reads_site), "");
+}
+
+TEST(Args, RestHandsLeftoversToASecondParser) {
+  CommandLine line{"--benchmark_filter=BM_Fir", "--json=out.json",
+                   "--benchmark_list_tests", "--compare-iters=500"};
+  u::Args args = line.args();
+  EXPECT_EQ(args.text("--json"), "out.json");
+  EXPECT_EQ(args.integer<std::size_t>("--compare-iters", 0), 500u);
+  const std::vector<char*> rest = args.rest();
+  std::vector<std::string> seen(rest.begin(), rest.end());
+  EXPECT_EQ(seen, (std::vector<std::string>{"prog", "--benchmark_filter=BM_Fir",
+                                            "--benchmark_list_tests"}));
+  args.finish();  // rest() read them all
+  // Our own flags are still strict.
+  CommandLine twice{"--json=a", "--json=b", "--benchmark_filter=x"};
+  u::Args strict = twice.args();
+  EXPECT_EQ(error_of([&] { (void)strict.text("--json"); }),
+            "--json is given twice");
 }
