@@ -14,9 +14,11 @@
 // append honest against the same 2% gate.
 //
 // A second, ungated section times one full pipeline calibration with and
-// without a TraceSession attached and reports the span count, so the cost
-// of tracing (two clock reads + one locked append per stage span) stays a
-// published number rather than folklore.
+// without a TraceSession attached, alternating the two on one device as
+// time_stage alternates obs on/off, and reports the span count. The cost
+// of tracing (two clock reads + one locked append per stage span) is far
+// below the run-to-run spread of a ~100 ms calibration, so the row is
+// informational: it bounds that cost, it cannot resolve it.
 //
 // Usage: obs_overhead [--json=PATH] [--iters=N] [--trace-out=PATH]
 //   --json defaults to BENCH_obs.json; --iters caps each variant's timing
@@ -55,6 +57,7 @@ namespace {
 
 constexpr std::size_t kBlock = 65536;  // one capture block (~8 ms at 8 Msps)
 constexpr double kMaxOverhead = 0.02;   // the DESIGN.md §10 contract
+constexpr int kPipelineReps = 3;        // per side of the tracing row
 
 struct Row {
   std::string name;
@@ -272,9 +275,9 @@ int main(int argc, char** argv) {
   }
 
   // ---------------------------------------------- tracing cost (ungated) ----
-  // One node through the full pipeline, untraced vs traced. Spans sit at
-  // stage granularity, so the absolute cost is a handful of microseconds —
-  // but it is measured, not assumed.
+  // One node through the full pipeline, untraced and traced in alternation,
+  // min-of-reps on each side. Spans sit at stage granularity, so the
+  // absolute cost is a handful of microseconds.
   double untraced_ms = 0.0, traced_ms = 0.0;
   std::size_t trace_events = 0;
   {
@@ -291,29 +294,24 @@ int main(int argc, char** argv) {
     claims.claims_outdoor = true;
 
     using clock = std::chrono::steady_clock;
-    constexpr int kPipelineReps = 3;
-    untraced_ms = 1e300;
-    for (int r = 0; r < kPipelineReps; ++r) {
-      const auto t0 = clock::now();
-      const auto report = pipeline.calibrate(*device, claims);
-      const double ms =
-          std::chrono::duration<double, std::milli>(clock::now() - t0).count();
-      untraced_ms = std::min(untraced_ms, ms);
-      if (report.aborted()) {
-        std::cerr << "obs_overhead: pipeline aborted: " << report.abort_reason
-                  << "\n";
-        return 1;
-      }
-    }
-
     obs::TraceSession session;
+    obs::TraceSession* const sides[] = {nullptr, &session};  // untraced, traced
+    untraced_ms = 1e300;
     traced_ms = 1e300;
     for (int r = 0; r < kPipelineReps; ++r) {
-      const auto t0 = clock::now();
-      (void)pipeline.calibrate(*device, claims, &session);
-      const double ms =
-          std::chrono::duration<double, std::milli>(clock::now() - t0).count();
-      traced_ms = std::min(traced_ms, ms);
+      for (obs::TraceSession* trace : sides) {
+        const auto t0 = clock::now();
+        const auto report = pipeline.calibrate(*device, claims, trace);
+        const double ms =
+            std::chrono::duration<double, std::milli>(clock::now() - t0).count();
+        if (report.aborted()) {
+          std::cerr << "obs_overhead: pipeline aborted: " << report.abort_reason
+                    << "\n";
+          return 1;
+        }
+        double& best = trace != nullptr ? traced_ms : untraced_ms;
+        best = std::min(best, ms);
+      }
     }
     trace_events = session.event_count();
     if (!trace_path.empty()) {
@@ -346,7 +344,7 @@ int main(int argc, char** argv) {
   std::cout << "pipeline calibrate: " << util::format_fixed(untraced_ms, 1)
             << " ms untraced, " << util::format_fixed(traced_ms, 1)
             << " ms traced (" << trace_events << " spans over "
-            << 3 << " runs; informational)\n";
+            << kPipelineReps << " runs; informational)\n";
 
   std::ofstream os(json_path);
   if (!os) {

@@ -32,6 +32,13 @@ namespace {
 
 constexpr std::uint64_t kSeed = 29;
 
+// The queue holds kSegmentsPerNode segments per node (see main), so the
+// node bound caps its capacity at ~4M segments, far from wrapping; the
+// thread bound caps each pool the command line can start.
+constexpr std::size_t kSegmentsPerNode = 4096;
+constexpr std::size_t kMaxNodes = 1000;
+constexpr unsigned kMaxThreads = 256;
+
 struct Options {
   std::size_t nodes = 20;
   net::Encoding encoding = net::Encoding::kFloat32;
@@ -52,22 +59,25 @@ int main(int argc, char** argv) {
   Options opt;
   try {
     util::Args args(argc, argv);
-    opt.nodes = args.integer("--nodes", opt.nodes, 1);
+    opt.nodes = args.integer("--nodes", opt.nodes, 1, kMaxNodes);
     opt.encoding = args.word("--encoding", opt.encoding,
                              {{"float32", net::Encoding::kFloat32},
                               {"float16", net::Encoding::kFloat16},
                               {"fixed8", net::Encoding::kFixed8},
                               {"fixed12", net::Encoding::kFixed12}});
-    opt.decode_threads = args.integer("--decode-threads", opt.decode_threads);
-    opt.calibrate_threads =
-        args.integer("--calibrate-threads", opt.calibrate_threads);
+    opt.decode_threads =
+        args.integer("--decode-threads", opt.decode_threads, 0, kMaxThreads);
+    opt.calibrate_threads = args.integer("--calibrate-threads",
+                                         opt.calibrate_threads, 0, kMaxThreads);
     args.finish();
     net::DecodeFarmConfig{opt.decode_threads}.validate();
   } catch (const std::invalid_argument& e) {
+    const std::string threads = std::to_string(kMaxThreads);
     return util::usage_error(
         "decode_farm", e.what(),
-        "[--nodes=N] [--encoding=float32|float16|fixed8|fixed12] "
-        "[--decode-threads=N] [--calibrate-threads=N]");
+        "[--nodes=1.." + std::to_string(kMaxNodes) +
+            "] [--encoding=float32|float16|fixed8|fixed12] [--decode-threads=1.." +
+            threads + "] [--calibrate-threads=0.." + threads + "]");
   }
 
   const auto world = scenario::make_world(kSeed);
@@ -80,7 +90,7 @@ int main(int argc, char** argv) {
   // (a live deployment would run producers and farm concurrently), so the
   // queue must hold every segment or pushes would block with nobody
   // popping.
-  const std::size_t capacity = opt.nodes * 4096;
+  const std::size_t capacity = opt.nodes * kSegmentsPerNode;
   net::SegmentQueue queue(capacity);
 
   std::cout << "decode_farm: " << opt.nodes << " nodes, encoding "

@@ -85,6 +85,11 @@ std::vector<FleetEntry> generate_fleet(std::size_t count) {
 
 int main(int argc, char** argv) {
   constexpr std::uint64_t kSeed = 13;
+  // The largest counts a command line may ask for: the fleet vector and the
+  // registry hold one entry per node, and the executor starts one thread
+  // per --threads (up to the task count).
+  constexpr std::size_t kMaxNodes = 10000;
+  constexpr unsigned kMaxThreads = 256;
 
   // Fault profiles script a reproducible chaos run: built-ins "none",
   // "flaky20", "chaos", or an inline JSON document (sdr/fault.hpp). With a
@@ -115,8 +120,8 @@ int main(int argc, char** argv) {
   // is a usage error.
   try {
     util::Args args(argc, argv);
-    threads = args.integer("--threads", threads);
-    fleet_size = args.integer("--nodes", fleet_size);
+    threads = args.integer("--threads", threads, 0, kMaxThreads);
+    fleet_size = args.integer("--nodes", fleet_size, 0, kMaxNodes);
     metrics_out = args.text("--metrics-out").value_or("");
     trace_out = args.text("--trace-out").value_or("");
     health_out = args.text("--health-out").value_or("");
@@ -141,9 +146,11 @@ int main(int argc, char** argv) {
   } catch (const std::invalid_argument& e) {
     return util::usage_error(
         "fleet_audit", e.what(),
-        "[--threads=N] [--nodes=N] [--metrics-out=PATH] [--trace-out=PATH] "
-        "[--fault-profile=<name|json>] [--anomaly-profile=<name|json>] "
-        "[--anomaly-out=PATH] [--health-out=PATH] [--events-out=PATH]");
+        "[--threads=0.." + std::to_string(kMaxThreads) + "] [--nodes=0.." +
+            std::to_string(kMaxNodes) +
+            "] [--metrics-out=PATH] [--trace-out=PATH] "
+            "[--fault-profile=<name|json>] [--anomaly-profile=<name|json>] "
+            "[--anomaly-out=PATH] [--health-out=PATH] [--events-out=PATH]");
   }
   const bool chaos = !fault_profile.empty();
 

@@ -123,15 +123,8 @@ CalibrationReport CalibrationPipeline::calibrate(sdr::Device& device,
                                                  const NodeClaims& claims,
                                                  obs::TraceSession* trace) const {
   CalibrationReport report;
-  calibrate_into(device, claims, report, trace);
-  return report;
-}
-
-void CalibrationPipeline::calibrate_into(sdr::Device& device,
-                                         const NodeClaims& claims,
-                                         CalibrationReport& report,
-                                         obs::TraceSession* trace) const {
   plan(device, claims, report, trace).run_all();
+  return report;
 }
 
 std::vector<StageSpec> CalibrationPipeline::stage_plan() const {

@@ -6,12 +6,12 @@
 // One CalibrationReport per node; a NodeRegistry ranks the fleet.
 //
 // The pipeline exposes two granularities:
-//   calibrate()/calibrate_into() — run all stages serially (unchanged API).
-//   plan()                       — decompose one node's calibration into a
-//     NodeTaskSet of independent stage tasks with declared dependencies
-//     (stage_plan()), which the fleet engine wires into a TaskGraph so a
-//     StageExecutor can interleave stages across nodes. Both paths execute
-//     the same stage bodies; calibrate_into() is literally plan()+run_all().
+//   calibrate() — run all stages serially.
+//   plan()      — decompose one node's calibration into a NodeTaskSet of
+//     independent stage tasks with declared dependencies (stage_plan()),
+//     which the fleet engine wires into a TaskGraph so a StageExecutor can
+//     interleave stages across nodes. Both paths execute the same stage
+//     bodies; calibrate() is literally plan()+run_all().
 #pragma once
 
 #include <functional>
@@ -228,12 +228,6 @@ class CalibrationPipeline {
   [[nodiscard]] CalibrationReport calibrate(
       sdr::Device& device, const NodeClaims& claims,
       obs::TraceSession* trace = nullptr) const;
-
-  /// Same evaluation, writing into caller-owned storage (the fleet engine
-  /// reuses per-worker report slots). `report` is reset first.
-  void calibrate_into(sdr::Device& device, const NodeClaims& claims,
-                      CalibrationReport& report,
-                      obs::TraceSession* trace = nullptr) const;
 
   /// Decompose one node's calibration into stage tasks. Resets `report`,
   /// records the claims, and runs the (cheap) environment preamble

@@ -55,12 +55,6 @@ class FftConvolver {
   /// Clear the streaming history (start a new stream).
   void reset() noexcept;
 
-  [[nodiscard]] std::size_t tap_count() const noexcept { return taps_; }
-  [[nodiscard]] std::size_t fft_size() const noexcept { return plan_->size(); }
-  /// Fresh input samples consumed per overlap-save block (fft_size - taps + 1).
-  [[nodiscard]] std::size_t block_size() const noexcept {
-    return plan_->size() - taps_ + 1;
-  }
   /// Bytes reserved by the internal scratch (monotone; for zero-allocation
   /// assertions in tests).
   [[nodiscard]] std::size_t scratch_capacity_bytes() const noexcept {

@@ -57,8 +57,6 @@ class FirFilter {
 
   void reset() noexcept;
 
-  [[nodiscard]] std::size_t tap_count() const noexcept { return taps_.size(); }
-
   /// Magnitude response (linear) at `freq_hz` for `sample_rate_hz`.
   [[nodiscard]] double magnitude_at(double freq_hz, double sample_rate_hz) const noexcept;
 

@@ -36,14 +36,6 @@ class Nco {
     return out;
   }
 
-  /// Mix a block up/down by the NCO frequency, adding into `accum`
-  /// scaled by `amplitude`. `accum` must be at least as long as `in`.
-  void mix_add(std::span<const std::complex<float>> in, float amplitude,
-               std::span<std::complex<float>> accum) noexcept {
-    const std::size_t n = std::min(in.size(), accum.size());
-    for (std::size_t i = 0; i < n; ++i) accum[i] += in[i] * next() * amplitude;
-  }
-
   /// Tone synthesis: accum[i] += e^{j phase_i} * amplitude for the whole
   /// block, advancing the oscillator by accum.size() samples (phase
   /// continuity preserved, same as repeated next()).

@@ -129,8 +129,6 @@ class SpectrumEstimator {
   explicit SpectrumEstimator(std::size_t fft_size,
                              std::span<const double> window = {});
 
-  [[nodiscard]] std::size_t fft_size() const noexcept { return plan_->size(); }
-
   /// Windowed power spectrum of `block` (block.size() <= fft_size; the
   /// tail is zero-padded; window entries beyond the window length count
   /// as 1.0). `out` is resized to fft_size. Throws std::invalid_argument if

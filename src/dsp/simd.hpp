@@ -1,16 +1,20 @@
 // Portable-SIMD kernels for the DSP hot loops (DESIGN.md §14).
 //
-// One compile-time dispatch point (`kBackend`) selects SSE2/AVX2/NEON bodies
-// or the scalar fallback; every kernel keeps a scalar reference sibling in
-// `simd::scalar` so tests and benches can compare the dispatched path against
-// the reference on any build. `-DSPECCAL_DISABLE_SIMD` forces the scalar tier
-// everywhere (CI runs the full suite on both tiers).
+// One compile-time dispatch point (`kBackend`) selects one of two tiers,
+// the two that CI builds: the SSE2 bodies on x86-64 (the default,
+// sanitizer and TSan legs; -mavx2 builds run them too), or the scalar
+// fallback under `-DSPECCAL_DISABLE_SIMD` (the forced-scalar leg) and on
+// every other ISA, ARM included. Every kernel keeps a scalar reference
+// sibling in `simd::scalar`, so tests and benches compare the dispatched
+// path against the reference on any build, and CI's tier-identity job
+// `cmp`s the pinned reports test_golden computes in both tiers: they must
+// agree byte for byte, not only within the pins' tolerances.
 //
 // Numerical contract, per kernel:
 //   * Elementwise kernels (magnitude_squared, apply_window, accumulate_power,
 //     power_scaled, cmul_inplace, fft_radix2_stage, preamble_candidates,
 //     scale_quantize) do the same IEEE float ops per element as the scalar
-//     sibling — results are bit-identical on every backend (no FMA
+//     sibling — results are bit-identical on both tiers (no FMA
 //     contraction is used).
 //   * Reduction kernels (sum_power, cdot, dot_conj) split the accumulator
 //     across lanes, which reorders the additions. They are held to the
@@ -24,12 +28,8 @@
 #include <cstddef>
 #include <cstdint>
 
-#if !defined(SPECCAL_DISABLE_SIMD)
-#if defined(__SSE2__) || defined(__AVX2__)
-#include <immintrin.h>
-#elif defined(__ARM_NEON)
-#include <arm_neon.h>
-#endif
+#if !defined(SPECCAL_DISABLE_SIMD) && defined(__SSE2__)
+#include <emmintrin.h>
 #endif
 
 namespace speccal::dsp::simd {
@@ -39,31 +39,18 @@ namespace speccal::dsp::simd {
 /// kernels). Expected error is ~1e-6; the gate is deliberately loose.
 inline constexpr double kSimdEquivalenceTolerance = 1e-4;
 
-enum class Backend { kScalar, kSse2, kAvx2, kNeon };
+enum class Backend { kScalar, kSse2 };
 
 // The single dispatch point: compile-time detection, no runtime probing.
-// Default x86-64 builds (no -march flags) land on SSE2, which is part of the
-// base ISA; AVX2 bodies compile only under -mavx2/-march=native.
-#if defined(SPECCAL_DISABLE_SIMD)
-inline constexpr Backend kBackend = Backend::kScalar;
-#elif defined(__AVX2__)
-inline constexpr Backend kBackend = Backend::kAvx2;
-#elif defined(__SSE2__)
+// Every x86-64 build lands on SSE2, which is part of the base ISA.
+#if !defined(SPECCAL_DISABLE_SIMD) && defined(__SSE2__)
 inline constexpr Backend kBackend = Backend::kSse2;
-#elif defined(__ARM_NEON)
-inline constexpr Backend kBackend = Backend::kNeon;
 #else
 inline constexpr Backend kBackend = Backend::kScalar;
 #endif
 
 [[nodiscard]] inline constexpr const char* backend_name() noexcept {
-  switch (kBackend) {
-    case Backend::kSse2: return "sse2";
-    case Backend::kAvx2: return "avx2";
-    case Backend::kNeon: return "neon";
-    case Backend::kScalar: return "scalar";
-  }
-  return "scalar";
+  return kBackend == Backend::kSse2 ? "sse2" : "scalar";
 }
 
 // ------------------------------------------------------ scalar references ----
@@ -226,7 +213,7 @@ inline void scale_quantize(float* x, std::size_t n, float scale, int bits) noexc
 
 // ------------------------------------------------------- dispatched bodies ----
 
-#if !defined(SPECCAL_DISABLE_SIMD) && (defined(__SSE2__) || defined(__AVX2__))
+#if !defined(SPECCAL_DISABLE_SIMD) && defined(__SSE2__)
 
 namespace detail {
 
@@ -254,51 +241,12 @@ namespace detail {
   return _mm_add_ps(t1, t2);
 }
 
-#if defined(__AVX2__)
-[[nodiscard]] inline __m256 negate_even_mask256() noexcept {
-  return _mm256_castsi256_ps(_mm256_setr_epi32(
-      INT32_C(0x80000000), 0, INT32_C(0x80000000), 0, INT32_C(0x80000000), 0,
-      INT32_C(0x80000000), 0));
-}
-
-// Four packed complex-float multiplies (shuffles are 128-lane-local, and the
-// interleaved pair pattern is lane-local too, so the SSE2 recipe lifts
-// straight to 256 bits).
-[[nodiscard]] inline __m256 cmul4(__m256 x, __m256 w) noexcept {
-  const __m256 wr = _mm256_shuffle_ps(w, w, _MM_SHUFFLE(2, 2, 0, 0));
-  const __m256 wi = _mm256_shuffle_ps(w, w, _MM_SHUFFLE(3, 3, 1, 1));
-  const __m256 xsw = _mm256_shuffle_ps(x, x, _MM_SHUFFLE(2, 3, 0, 1));
-  const __m256 t1 = _mm256_mul_ps(x, wr);
-  const __m256 t2 = _mm256_xor_ps(_mm256_mul_ps(xsw, wi), negate_even_mask256());
-  return _mm256_add_ps(t1, t2);
-}
-#endif
-
 }  // namespace detail
 
 inline void magnitude_squared(const std::complex<float>* in, float* out,
                               std::size_t n) noexcept {
   const float* f = reinterpret_cast<const float*>(in);
   std::size_t i = 0;
-#if defined(__AVX2__)
-  for (; i + 8 <= n; i += 8) {
-    const __m256 a = _mm256_loadu_ps(f + 2 * i);      // c0..c3 interleaved
-    const __m256 b = _mm256_loadu_ps(f + 2 * i + 8);  // c4..c7 interleaved
-    const __m256 sa = _mm256_mul_ps(a, a);
-    const __m256 sb = _mm256_mul_ps(b, b);
-    // Per-128-lane horizontal pair sums, then compact lanes {0,2} of each.
-    const __m256 ta =
-        _mm256_add_ps(sa, _mm256_shuffle_ps(sa, sa, _MM_SHUFFLE(2, 3, 0, 1)));
-    const __m256 tb =
-        _mm256_add_ps(sb, _mm256_shuffle_ps(sb, sb, _MM_SHUFFLE(2, 3, 0, 1)));
-    const __m256 packed = _mm256_shuffle_ps(ta, tb, _MM_SHUFFLE(2, 0, 2, 0));
-    // packed lane order is [p0 p1 p4 p5 | p2 p3 p6 p7]; restore with a
-    // 64-bit permute.
-    _mm256_storeu_ps(
-        out + i, _mm256_castpd_ps(_mm256_permute4x64_pd(
-                     _mm256_castps_pd(packed), _MM_SHUFFLE(3, 1, 2, 0))));
-  }
-#endif
   for (; i + 4 <= n; i += 4) {
     const __m128 p01 = detail::pair_powers(_mm_loadu_ps(f + 2 * i));
     const __m128 p23 = detail::pair_powers(_mm_loadu_ps(f + 2 * i + 4));
@@ -378,13 +326,6 @@ inline void cmul_inplace(std::complex<float>* a, const std::complex<float>* b,
   float* fa = reinterpret_cast<float*>(a);
   const float* fb = reinterpret_cast<const float*>(b);
   std::size_t i = 0;
-#if defined(__AVX2__)
-  for (; i + 4 <= n; i += 4) {
-    const __m256 va = _mm256_loadu_ps(fa + 2 * i);
-    const __m256 vb = _mm256_loadu_ps(fb + 2 * i);
-    _mm256_storeu_ps(fa + 2 * i, detail::cmul4(va, vb));
-  }
-#endif
   for (; i + 2 <= n; i += 2) {
     const __m128 va = _mm_loadu_ps(fa + 2 * i);
     const __m128 vb = _mm_loadu_ps(fb + 2 * i);
@@ -465,30 +406,10 @@ inline void fft_radix2_stage(float* data, std::size_t n, std::size_t len,
     return;
   }
   const __m128 vsign = _mm_set1_ps(sign);
-#if defined(__AVX2__)
-  const __m256 vsign8 = _mm256_set1_ps(sign);
-#endif
   for (std::size_t i = 0; i < n; i += len) {
     float* lo = data + 2 * i;
     float* hi = data + 2 * (i + half);
-    std::size_t k0 = 0;
-#if defined(__AVX2__)
-    for (; k0 + 4 <= half; k0 += 4) {
-      const __m256 w = _mm256_loadu_ps(tw + 2 * k0);
-      const __m256 x = _mm256_loadu_ps(hi + 2 * k0);
-      const __m256 wr = _mm256_shuffle_ps(w, w, _MM_SHUFFLE(2, 2, 0, 0));
-      const __m256 wi = _mm256_mul_ps(
-          _mm256_shuffle_ps(w, w, _MM_SHUFFLE(3, 3, 1, 1)), vsign8);
-      const __m256 xsw = _mm256_shuffle_ps(x, x, _MM_SHUFFLE(2, 3, 0, 1));
-      const __m256 v = _mm256_add_ps(
-          _mm256_mul_ps(x, wr),
-          _mm256_xor_ps(_mm256_mul_ps(xsw, wi), detail::negate_even_mask256()));
-      const __m256 u = _mm256_loadu_ps(lo + 2 * k0);
-      _mm256_storeu_ps(lo + 2 * k0, _mm256_add_ps(u, v));
-      _mm256_storeu_ps(hi + 2 * k0, _mm256_sub_ps(u, v));
-    }
-#endif
-    for (std::size_t k = k0; k + 2 <= half; k += 2) {
+    for (std::size_t k = 0; k + 2 <= half; k += 2) {
       const __m128 w = _mm_loadu_ps(tw + 2 * k);
       const __m128 x = _mm_loadu_ps(hi + 2 * k);
       const __m128 wr = _mm_shuffle_ps(w, w, _MM_SHUFFLE(2, 2, 0, 0));
@@ -534,7 +455,7 @@ inline void scale_quantize(float* x, std::size_t n, float scale, int bits) noexc
   // Lane recipe: a = min(|v|, 1) * L, where minps returns its second
   // operand, 1, in a NaN lane; t = trunc(a) through the int32 conversion;
   // t += (a - t >= 0.5); result = t / L with v's sign bit; NaN lanes are
-  // then restored from v. AVX2 builds run this SSE2 loop too.
+  // then restored from v.
   const float levels = std::ldexp(1.0f, bits - 1);
   const __m128 vscale = _mm_set1_ps(scale);
   const __m128 vlevels = _mm_set1_ps(levels);
@@ -555,142 +476,19 @@ inline void scale_quantize(float* x, std::size_t n, float scale, int bits) noexc
   if (i < n) scalar::scale_quantize(x + i, n - i, scale, bits);
 }
 
-#elif !defined(SPECCAL_DISABLE_SIMD) && defined(__ARM_NEON)
+#else  // forced scalar or a non-x86 ISA: the references are the kernels
 
-// NEON tier: the widest-impact elementwise kernels use vld2 deinterleaved
-// loads; the remaining kernels fall through to the scalar reference (still
-// correct, just unvectorized) — extend as ARM hosts join the fleet.
-
-inline void magnitude_squared(const std::complex<float>* in, float* out,
-                              std::size_t n) noexcept {
-  const float* f = reinterpret_cast<const float*>(in);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const float32x4x2_t v = vld2q_f32(f + 2 * i);
-    vst1q_f32(out + i, vaddq_f32(vmulq_f32(v.val[0], v.val[0]),
-                                 vmulq_f32(v.val[1], v.val[1])));
-  }
-  if (i < n) scalar::magnitude_squared(in + i, out + i, n - i);
-}
-
-inline void apply_window(const std::complex<float>* in, const float* win,
-                         std::complex<float>* out, std::size_t n) noexcept {
-  const float* f = reinterpret_cast<const float*>(in);
-  float* o = reinterpret_cast<float*>(out);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    float32x4x2_t v = vld2q_f32(f + 2 * i);
-    const float32x4_t w = vld1q_f32(win + i);
-    v.val[0] = vmulq_f32(v.val[0], w);
-    v.val[1] = vmulq_f32(v.val[1], w);
-    vst2q_f32(o + 2 * i, v);
-  }
-  if (i < n) scalar::apply_window(in + i, win + i, out + i, n - i);
-}
-
-inline void accumulate_power(const std::complex<float>* in, double scale,
-                             double* acc, std::size_t n) noexcept {
-  scalar::accumulate_power(in, scale, acc, n);
-}
-
-inline void power_scaled(const std::complex<float>* in, double scale,
-                         double* out, std::size_t n) noexcept {
-  scalar::power_scaled(in, scale, out, n);
-}
-
-[[nodiscard]] inline double sum_power(const std::complex<float>* in,
-                                      std::size_t n) noexcept {
-  return scalar::sum_power(in, n);
-}
-
-inline void cmul_inplace(std::complex<float>* a, const std::complex<float>* b,
-                         std::size_t n) noexcept {
-  scalar::cmul_inplace(a, b, n);
-}
-
-[[nodiscard]] inline std::complex<double> cdot(const std::complex<double>* a,
-                                               const std::complex<double>* b,
-                                               std::size_t n) noexcept {
-  return scalar::cdot(a, b, n);
-}
-
-[[nodiscard]] inline std::complex<double> dot_conj(
-    const std::complex<float>* x, const std::complex<float>* ref,
-    std::size_t n) noexcept {
-  return scalar::dot_conj(x, ref, n);
-}
-
-inline void fft_radix2_stage(float* data, std::size_t n, std::size_t len,
-                             const float* tw, float sign) noexcept {
-  scalar::fft_radix2_stage(data, n, len, tw, sign);
-}
-
-inline void preamble_candidates(const float* mag, std::size_t n_positions,
-                                std::uint8_t* out) noexcept {
-  scalar::preamble_candidates(mag, n_positions, out);
-}
-
-inline void scale_quantize(float* x, std::size_t n, float scale, int bits) noexcept {
-  scalar::scale_quantize(x, n, scale, bits);
-}
-
-#else  // forced scalar or unknown ISA
-
-inline void magnitude_squared(const std::complex<float>* in, float* out,
-                              std::size_t n) noexcept {
-  scalar::magnitude_squared(in, out, n);
-}
-
-inline void apply_window(const std::complex<float>* in, const float* win,
-                         std::complex<float>* out, std::size_t n) noexcept {
-  scalar::apply_window(in, win, out, n);
-}
-
-inline void accumulate_power(const std::complex<float>* in, double scale,
-                             double* acc, std::size_t n) noexcept {
-  scalar::accumulate_power(in, scale, acc, n);
-}
-
-inline void power_scaled(const std::complex<float>* in, double scale,
-                         double* out, std::size_t n) noexcept {
-  scalar::power_scaled(in, scale, out, n);
-}
-
-[[nodiscard]] inline double sum_power(const std::complex<float>* in,
-                                      std::size_t n) noexcept {
-  return scalar::sum_power(in, n);
-}
-
-inline void cmul_inplace(std::complex<float>* a, const std::complex<float>* b,
-                         std::size_t n) noexcept {
-  scalar::cmul_inplace(a, b, n);
-}
-
-[[nodiscard]] inline std::complex<double> cdot(const std::complex<double>* a,
-                                               const std::complex<double>* b,
-                                               std::size_t n) noexcept {
-  return scalar::cdot(a, b, n);
-}
-
-[[nodiscard]] inline std::complex<double> dot_conj(
-    const std::complex<float>* x, const std::complex<float>* ref,
-    std::size_t n) noexcept {
-  return scalar::dot_conj(x, ref, n);
-}
-
-inline void fft_radix2_stage(float* data, std::size_t n, std::size_t len,
-                             const float* tw, float sign) noexcept {
-  scalar::fft_radix2_stage(data, n, len, tw, sign);
-}
-
-inline void preamble_candidates(const float* mag, std::size_t n_positions,
-                                std::uint8_t* out) noexcept {
-  scalar::preamble_candidates(mag, n_positions, out);
-}
-
-inline void scale_quantize(float* x, std::size_t n, float scale, int bits) noexcept {
-  scalar::scale_quantize(x, n, scale, bits);
-}
+using scalar::accumulate_power;
+using scalar::apply_window;
+using scalar::cdot;
+using scalar::cmul_inplace;
+using scalar::dot_conj;
+using scalar::fft_radix2_stage;
+using scalar::magnitude_squared;
+using scalar::power_scaled;
+using scalar::preamble_candidates;
+using scalar::scale_quantize;
+using scalar::sum_power;
 
 #endif
 

@@ -36,17 +36,21 @@ class Args {
   [[nodiscard]] std::optional<std::string> text(std::string_view name);
 
   /// The JSON integer `name`, or `fallback` when it is absent. A value
-  /// below `min` is an error.
+  /// below `min` or above `max` is an error.
   template <std::integral T>
-  [[nodiscard]] T integer(std::string_view name, T fallback,
-                          std::type_identity_t<T> min =
-                              std::numeric_limits<T>::lowest()) {
+  [[nodiscard]] T integer(
+      std::string_view name, T fallback,
+      std::type_identity_t<T> min = std::numeric_limits<T>::lowest(),
+      std::type_identity_t<T> max = std::numeric_limits<T>::max()) {
     const auto value = text(name);
     if (!value) return fallback;
     const T v = JsonReader::integer<T>(*value, name);
     if (v < min)
       throw std::invalid_argument(std::string(name) + " = " + *value +
                                   " must be at least " + std::to_string(min));
+    if (v > max)
+      throw std::invalid_argument(std::string(name) + " = " + *value +
+                                  " must be at most " + std::to_string(max));
     return v;
   }
 

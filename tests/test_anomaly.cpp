@@ -114,6 +114,12 @@ cal::NodeRegistry& registry_for(Fleet which) {
   }
 }
 
+/// Records a copy of every report of `from` into `to` (NodeRegistry holds
+/// a mutex, so it has no copy constructor).
+void copy_reports(const cal::NodeRegistry& from, cal::NodeRegistry& to) {
+  from.for_each_report([&](const cal::CalibrationReport& r) { to.record(r); });
+}
+
 std::string report_json(const cal::CalibrationReport& report,
                         bool include_stage_metrics = true) {
   std::ostringstream os;
@@ -296,12 +302,12 @@ TEST(AnomalyDetector, ArmedCleanRunReportsStayBitwise) {
 }
 
 TEST(AnomalyDetector, AnnotateTouchesOnlyFlaggedNodes) {
-  // Fresh registries (the shared ones must stay unannotated for the other
-  // tests): one clean armed, one mixed.
+  // Copies of the shared clean-armed and mixed registries (the shared ones
+  // must stay unannotated for the other tests).
   const cal::AnomalyDetector detector;
 
   cal::NodeRegistry clean;
-  calibrate(clean, true, sc::AdversaryProfile{});
+  copy_reports(registry_for(Fleet::kCleanArmed), clean);
   std::vector<std::string> before;
   clean.for_each_report([&](const cal::CalibrationReport& r) {
     before.push_back(report_json(r));
@@ -313,7 +319,7 @@ TEST(AnomalyDetector, AnnotateTouchesOnlyFlaggedNodes) {
   });
 
   cal::NodeRegistry mixed;
-  calibrate(mixed, true, sc::make_adversary_profile("mixed"));
+  copy_reports(registry_for(Fleet::kMixed), mixed);
   const cal::AnomalyReport report = detector.evaluate(mixed);
   detector.annotate(mixed, report);
   mixed.for_each_report([&](const cal::CalibrationReport& r) {

@@ -220,14 +220,6 @@ TEST(Nco, GeneratesRequestedFrequency) {
   EXPECT_EQ(best, want_bin);
 }
 
-TEST(Nco, MixAddScalesAmplitude) {
-  d::Nco nco(0.0, 1e6);  // DC oscillator = pure gain
-  std::vector<std::complex<float>> in(8, {1.0f, 0.0f});
-  std::vector<std::complex<float>> accum(8, {0.5f, 0.0f});
-  nco.mix_add(in, 2.0f, accum);
-  for (const auto& v : accum) EXPECT_NEAR(v.real(), 2.5f, 1e-6);
-}
-
 // ----------------------------------------------------------------- prbs ----
 
 TEST(Prbs, Prbs9FullPeriod) {

@@ -77,9 +77,12 @@ const std::size_t kLengths[] = {1, 2, 3, 7, 8, 15, 16, 17, 64, 255, 1024, 1027};
 // ------------------------------------------------- kernel equivalence ----
 
 TEST(SimdKernels, BackendReportsAName) {
-  EXPECT_NE(d::simd::backend_name(), nullptr);
-#ifdef SPECCAL_DISABLE_SIMD
+#if !defined(SPECCAL_DISABLE_SIMD) && defined(__SSE2__)
+  EXPECT_EQ(d::simd::kBackend, d::simd::Backend::kSse2);
+  EXPECT_STREQ(d::simd::backend_name(), "sse2");
+#else
   EXPECT_EQ(d::simd::kBackend, d::simd::Backend::kScalar);
+  EXPECT_STREQ(d::simd::backend_name(), "scalar");
 #endif
 }
 

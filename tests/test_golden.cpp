@@ -6,10 +6,15 @@
 //                            link-budget survey, claims varied by index
 //   paper_sites_seed13.json  the paper's three sites, 10 s waveform survey
 //
-// On a mismatch the test writes the reports it computed to golden/ in the
-// build tree and prints every field that moved. A change that moves report
-// values on purpose regenerates a pin by copying that file over the one in
-// tests/golden/, and declares the diff in CHANGES.md.
+// Every run writes the reports it computed to golden/ in the build tree;
+// a mismatch also prints every field that moved. A change that moves
+// report values on purpose regenerates a pin by copying that file over the
+// one in tests/golden/, and declares the diff in CHANGES.md.
+//
+// The written files are also the cross-tier contract (DESIGN.md §14): the
+// pins hold values only to their tolerances, but the SSE2 and scalar builds
+// must compute the same bytes, and CI's tier-identity job `cmp`s the files
+// of the default, forced-scalar and ASan + UBSan legs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -161,6 +166,8 @@ std::string calibrate(const cal::PipelineConfig& pipeline,
 void expect_matches_pin(const std::string& name, const std::string& actual) {
   const std::filesystem::path pin = std::filesystem::path(SPECCAL_GOLDEN_DIR) / name;
   const std::filesystem::path out = std::filesystem::path(SPECCAL_GOLDEN_OUT_DIR) / name;
+  std::filesystem::create_directories(out.parent_path());
+  std::ofstream(out) << actual;
   std::ifstream in(pin);
   std::ostringstream pinned;
   pinned << in.rdbuf();
@@ -169,8 +176,6 @@ void expect_matches_pin(const std::string& name, const std::string& actual) {
          : std::vector<std::string>{pin.string() + ": cannot read the pin"};
   if (diffs.empty()) return;
 
-  std::filesystem::create_directories(out.parent_path());
-  std::ofstream(out) << actual;
   std::string listing;
   for (const std::string& d : diffs) listing += "  " + d + "\n";
   ADD_FAILURE() << diffs.size() << " field(s) differ from " << pin.string() << ":\n"

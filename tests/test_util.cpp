@@ -704,6 +704,14 @@ TEST(Args, NumbersFollowTheJsonReaderRule) {
             "--nodes must be a number, got 'abc'");
   EXPECT_EQ(error_of([&] { (void)more.number("--x", 0.0); }),
             "--x must be a number, got '+1'");
+
+  // Upper bounds: decode_farm's queue holds nodes x 4096 segments, so 2^52
+  // nodes would wrap it to 0; the count is refused before it sizes anything.
+  CommandLine counts{"--nodes=4503599627370496", "--threads=256"};
+  u::Args bounded = counts.args();
+  EXPECT_EQ(error_of([&] { (void)bounded.integer<std::size_t>("--nodes", 20, 1, 1000); }),
+            "--nodes = 4503599627370496 must be at most 1000");
+  EXPECT_EQ(bounded.integer("--threads", 2u, 0, 256), 256u);  // the bound itself
 }
 
 TEST(Args, WordsComeFromTheListedSet) {
